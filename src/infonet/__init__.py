@@ -20,7 +20,6 @@ from .data import (
     Dataset,
     Realization,
     VariableRef,
-    add_noise,
     embed,
     load_csv,
     normalize,
@@ -87,13 +86,12 @@ from .inference import (
     select_sources,
     select_target_past,
 )
-from .neighbors import NeighborIndex, neighbor_index_build
+from .neighbors import NeighborIndex
 from .pid import JointDistribution3, PidAtoms, pid_from_data, pid_williams_beer
 from .stats import (
     SurrogatePolicy,
     TestResult,
     fdr_correct,
-    make_surrogate,
     max_statistic_test,
     min_statistic_test,
     omnibus_test,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .ais import ais_estimate
 from .compare import compare_networks, union_link_structures
-from .data import load_csv, save_csv
+from .data import KIND_DISCRETE, Dataset, load_csv, save_csv
 from .errors import ConfigError, InferenceError, InfonetError
 from .export import (
     canonical_json,
@@ -212,7 +212,10 @@ def _cmd_pid(args) -> int:
     if not input_path:
         raise ConfigError("'pid' requires an input CSV with columns s1, s2, target")
     alphabet_sizes = cfg.get("alphabet_sizes")
-    dataset = load_csv(input_path, kind="discrete", alphabet_size=_pid_alphabet(alphabet_sizes, input_path))
+    raw = load_csv(input_path)
+    # Without given sizes, the largest symbol in the file sets the alphabet.
+    alphabet = int(max(alphabet_sizes)) if alphabet_sizes else int(raw.values.max()) + 1
+    dataset = Dataset(values=raw.values, kind=KIND_DISCRETE, alphabet_size=alphabet)
     if dataset.n_processes != 3:
         raise ConfigError(
             f"'pid' input must have exactly 3 columns, got {dataset.n_processes}"
@@ -231,16 +234,6 @@ def _cmd_pid(args) -> int:
     }
     _emit(canonical_json(payload) + "\n", args.output or cfg.get("output"))
     return 0
-
-
-def _pid_alphabet(alphabet_sizes, input_path) -> int:
-    if alphabet_sizes:
-        return int(max(alphabet_sizes))
-    # Infer the loader-level alphabet from the file so validation can run.
-    import numpy as np
-
-    raw = load_csv(input_path, kind="continuous")
-    return int(np.max(raw.values)) + 1
 
 
 def _cmd_compare(args) -> int:

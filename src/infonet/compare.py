@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, VariableRef, embed, normalize
+# ``normalize`` is unused here but stays bound: perfbench/test_tracing.py
+# checks that the tracer wraps it at this module name.
+from .data import Dataset, VariableRef, embed, normalize  # noqa: F401
 from .errors import (
     DataError,
     EmptyLinkSetError,
     InsufficientReplicationsError,
 )
-from .inference import InferenceSettings, NetworkResult, make_estimator
+from .inference import InferenceSettings, NetworkResult, make_estimator, prepare_dataset
 from .seeding import PHASE_COMPARE, rng_for
 from .stats import check_permutation_count, fdr_correct, permutation_pvalue
 
@@ -91,12 +93,6 @@ def union_link_structures(*networks: NetworkResult) -> list[LinkStructure]:
     return out
 
 
-def _prepare(dataset: Dataset, settings: InferenceSettings) -> Dataset:
-    if dataset.kind == "continuous" and settings.normalize and not dataset.normalized:
-        return normalize(dataset)
-    return dataset
-
-
 def _per_replication_blocks(
     dataset: Dataset, structure: LinkStructure, max_lag: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -150,8 +146,8 @@ def compare_networks(
             "replication exchange requires at least 2 replications per condition"
         )
     check_permutation_count(n_perm, alpha)
-    data_a = _prepare(data_a, settings)
-    data_b = _prepare(data_b, settings)
+    data_a = prepare_dataset(data_a, settings)
+    data_b = prepare_dataset(data_b, settings)
 
     r_a, r_b = data_a.n_replications, data_b.n_replications
     total = r_a + r_b

@@ -9,7 +9,7 @@ them into the flat observation table the estimators consume.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,7 +20,6 @@ from .errors import (
     InsufficientSamplesError,
     InvalidValueError,
 )
-from .seeding import rng_for
 
 KIND_CONTINUOUS = "continuous"
 KIND_DISCRETE = "discrete"
@@ -157,10 +156,6 @@ class Realization:
     def n_rows(self) -> int:
         return self.present.shape[0]
 
-    def column(self, index: int) -> np.ndarray:
-        """Lagged column ``index`` as an (n, 1) array."""
-        return self.lagged[:, index : index + 1]
-
 
 def embed(
     dataset: Dataset,
@@ -208,25 +203,6 @@ def embed(
         replication_of_row=rep_of_row,
         max_lag=max_lag,
     )
-
-
-def add_noise(realization: Realization, amplitude: float = 1e-8, seed: int = 0) -> Realization:
-    """Add i.i.d. uniform jitter in [-amplitude, amplitude] to every cell.
-
-    Deterministic under ``seed``; amplitude 0 returns the data unchanged.
-    """
-    if amplitude < 0:
-        raise DataError("noise amplitude must be >= 0")
-    if amplitude == 0:
-        return realization
-    rng = rng_for(seed)
-    present = realization.present + rng.uniform(
-        -amplitude, amplitude, size=realization.present.shape
-    )
-    lagged = realization.lagged + rng.uniform(
-        -amplitude, amplitude, size=realization.lagged.shape
-    )
-    return replace(realization, present=present, lagged=lagged)
 
 
 def _parse_csv_file(path: Path) -> tuple[list[str] | None, np.ndarray]:

@@ -48,9 +48,6 @@ class Estimator:
     def cmi_value(self, x, y, z=None) -> float:
         return self.cmi(x, y, z).value
 
-    def mi(self, x, y) -> InfoValue:
-        return self.cmi(x, y, None)
-
     def cmi_surrogate_batch(self, x_batch: np.ndarray, y, z=None) -> np.ndarray:
         out = np.empty(x_batch.shape[0], dtype=np.float64)
         for i in range(x_batch.shape[0]):

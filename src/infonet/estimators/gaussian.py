@@ -1,12 +1,23 @@
 """Closed-form linear-Gaussian MI and CMI with local values.
 
 All values are in bits. Covariances use centered data and 1/(n-1); there is
-no ridge repair: a singular covariance is an error, because silently
-regularizing would distort greedy comparisons. Determinants come from
-Cholesky factors, which doubles as the positive-definiteness check.
+no ridge repair, because silently regularizing would distort greedy
+comparisons. Determinants come from Cholesky factors, which double as the
+singularity check: a block is singular when its factorization fails or when
+one of its columns keeps less than ``_PIVOT_SHARE`` of its variance after
+regression on the columns before it.
 
-The batched kernel evaluates one conditional mutual information for a stack
-of replacement first-argument columns; the permutation tests lean on it.
+One rule covers singular blocks, for single values and batches alike: a
+singular conditioning block (z) raises ``SingularCovarianceError``; a
+singular (x, z) or (y, z) block means that side is a linear function of z,
+so the value is exactly 0; a singular full joint with healthy sides means x
+and y are collinear given z and raises ``SingularCovarianceError``. A
+constant column is the common case of the second kind and gets 0 bits.
+
+Both entry points reduce to a stack of joint covariances of (x, y, z) and
+share one kernel: the batched form evaluates one conditional mutual
+information for a stack of replacement first-argument columns, which is what
+the permutation tests need; a single value is a stack of one.
 """
 
 from __future__ import annotations
@@ -20,24 +31,71 @@ from ..errors import EstimatorError, InsufficientSamplesError, SingularCovarianc
 from .base import Estimator, InfoValue, as_columns
 
 _LN2 = math.log(2.0)
-_LOGDET_FLOOR = math.log(1e-300)
 _NEGATIVE_SLACK = -1e-9
+# Rounding leaves pivots of order d * 1e-16 of the column variance on exactly
+# collinear data; genuine data would need a squared multiple correlation
+# above 1 - 1e-10 to fall below this share.
+_PIVOT_SHARE = 1e-10
 
 
-def _chol_logdet(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor and log-determinant of a symmetric PD matrix."""
-    if matrix.shape[0] == 0:
-        return np.zeros((0, 0)), 0.0
+def _factorize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky factors, log-determinants and singular flags of an (m, d, d) stack.
+
+    The stack is factorized in one call. Only when that call fails is each
+    member factorized alone, so that one singular member does not hide the
+    others; a member that fails has a NaN factor.
+    """
+    if stack.shape[1] == 0:
+        return stack, np.zeros(len(stack)), np.zeros(len(stack), dtype=bool)
     try:
-        factor = np.linalg.cholesky(matrix)
+        factors = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
+        factors = np.full_like(stack, np.nan)
+        for i, matrix in enumerate(stack):
+            try:
+                factors[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                pass
+    diags = factors.diagonal(0, 1, 2)
+    # Written so that a NaN factor counts as singular.
+    singular = ~(diags * diags > _PIVOT_SHARE * stack.diagonal(0, 1, 2)).all(axis=1)
+    return factors, 2.0 * np.log(diags).sum(axis=1), singular
+
+
+def _cmi_stack(joint: np.ndarray, dx: int, dy: int):
+    """CMI(x_i; y | z) in bits for each (m, d, d) joint covariance of (x_i, y, z).
+
+    Members differ only in their x rows and columns; the (y, z) block is
+    shared. Applies the module's degeneracy rule to each member. Returns the
+    values, a mask of the members that are 0 by that rule, and the
+    (factors, log-determinants) of the (x,z), (y,z), z and full blocks, or
+    None for the blocks when y is a linear function of z.
+    """
+    m, d, _ = joint.shape
+    s_ff = joint[0, dx:, dx:]
+    f_z, ld_z, singular_z = _factorize(s_ff[np.newaxis, dy:, dy:])
+    if singular_z[0]:
         raise SingularCovarianceError(
-            f"covariance of dimension {matrix.shape[0]} is not positive definite"
+            f"conditioning covariance of dimension {d - dx - dy} is singular"
         )
-    logdet = 2.0 * float(np.log(np.diag(factor)).sum())
-    if logdet <= _LOGDET_FLOOR:
-        raise SingularCovarianceError(f"covariance determinant underflows (logdet={logdet:.1f})")
-    return factor, logdet
+    f_yz, ld_yz, singular_yz = _factorize(s_ff[np.newaxis])
+    if singular_yz[0]:
+        return np.zeros(m), np.ones(m, dtype=bool), None
+    ixz = np.array([*range(dx), *range(dx + dy, d)])
+    f_xz, ld_xz, zero = _factorize(joint[:, ixz[:, np.newaxis], ixz])
+    f_xyz, ld_xyz, singular = _factorize(joint)
+    if (singular & ~zero).any():
+        raise SingularCovarianceError(
+            "joint covariance is singular while (x, z) and (y, z) are not: "
+            "x and y are collinear given z"
+        )
+    value = 0.5 * (ld_xz + ld_yz - ld_z - ld_xyz) / _LN2
+    value[zero] = 0.0
+    if value.min() < _NEGATIVE_SLACK:
+        raise EstimatorError(
+            f"information value {value.min()} below numerical slack; data ill-conditioned"
+        )
+    return value, zero, ((f_xz, ld_xz), (f_yz, ld_yz), (f_z, ld_z), (f_xyz, ld_xyz))
 
 
 def _quadratic_forms(factor: np.ndarray, centered: np.ndarray) -> np.ndarray:
@@ -48,19 +106,19 @@ def _quadratic_forms(factor: np.ndarray, centered: np.ndarray) -> np.ndarray:
     return np.einsum("dn,dn->n", half, half)
 
 
+def _check_samples(n: int, d: int) -> None:
+    if n < d + 2:
+        raise InsufficientSamplesError(f"need at least {d + 2} observations, got {n}")
+
+
 def gaussian_cmi(x, y, z=None, with_local: bool = True) -> InfoValue:
     """Conditional mutual information under a joint-Gaussian model.
 
     CMI = 1/2 log2( det S_xz det S_yz / (det S_z det S_xyz) ); with an empty
     conditioning set this reduces exactly to the mutual information. Local
     values are the per-observation Gaussian log-density ratios, whose mean
-    recovers the determinant form identically.
-
-    Degeneracy rules: a singular conditioning block is an error; a singular
-    (x,z) or (y,z) block with a healthy conditioning block means that side is
-    deterministic given z and contributes nothing, so the value is exactly 0;
-    a singular full joint with healthy sides signals cross-block collinearity
-    (e.g. y a copy of x) and is an error.
+    recovers the determinant form identically; a value that is 0 by the
+    degeneracy rule (see the module docstring) has all-zero locals.
     """
     x = as_columns(x)
     y = as_columns(y)
@@ -73,38 +131,23 @@ def gaussian_cmi(x, y, z=None, with_local: bool = True) -> InfoValue:
     if (y.shape[1], y.tobytes()) < (x.shape[1], x.tobytes()):
         x, y = y, x
     dx, dy, dz = x.shape[1], y.shape[1], z.shape[1]
-    if n < dx + dy + dz + 2:
-        raise InsufficientSamplesError(
-            f"need at least {dx + dy + dz + 2} observations, got {n}"
-        )
+    _check_samples(n, dx + dy + dz)
     data = np.concatenate([x, y, z], axis=1)
     centered = data - data.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
 
-    ix = np.arange(dx)
-    iy = np.arange(dx, dx + dy)
-    iz = np.arange(dx + dy, dx + dy + dz)
-    ixz = np.concatenate([ix, iz])
-    iyz = np.concatenate([iy, iz])
-
-    _chol_logdet(cov[np.ix_(iz, iz)])  # singular conditioning is always an error
-    try:
-        f_xz, ld_xz = _chol_logdet(cov[np.ix_(ixz, ixz)])
-        f_yz, ld_yz = _chol_logdet(cov[np.ix_(iyz, iyz)])
-    except SingularCovarianceError:
-        local = np.zeros(n) if with_local else None
-        return InfoValue(value=0.0, local=local)
-    f_z, ld_z = _chol_logdet(cov[np.ix_(iz, iz)])
-    f_xyz, ld_xyz = _chol_logdet(cov)
-
-    value = 0.5 * (ld_xz + ld_yz - ld_z - ld_xyz) / _LN2
-    if value < _NEGATIVE_SLACK:
-        raise EstimatorError(f"information value {value} below numerical slack; data ill-conditioned")
+    values, zero, blocks = _cmi_stack(cov[np.newaxis], dx, dy)
+    value = float(values[0])
     if not with_local:
         return InfoValue(value=value)
-    q_xz = _quadratic_forms(f_xz, centered[:, ixz])
-    q_yz = _quadratic_forms(f_yz, centered[:, iyz])
-    q_z = _quadratic_forms(f_z, centered[:, iz])
+    if zero[0]:
+        return InfoValue(value=value, local=np.zeros(n))
+    (f_xz, ld_xz), (f_yz, ld_yz), (f_z, ld_z), (f_xyz, ld_xyz) = (
+        (factors[0], logdets[0]) for factors, logdets in blocks
+    )
+    q_xz = _quadratic_forms(f_xz, centered[:, [*range(dx), *range(dx + dy, dx + dy + dz)]])
+    q_yz = _quadratic_forms(f_yz, centered[:, dx:])
+    q_z = _quadratic_forms(f_z, centered[:, dx + dy :])
     q_xyz = _quadratic_forms(f_xyz, centered)
     local = (ld_xz + ld_yz - ld_z - ld_xyz + q_xz + q_yz - q_z - q_xyz) / (2.0 * _LN2)
     return InfoValue(value=value, local=local)
@@ -115,27 +158,12 @@ def gaussian_mi(x, y, with_local: bool = True) -> InfoValue:
     return gaussian_cmi(x, y, None, with_local=with_local)
 
 
-def _batch_logdet(stack: np.ndarray) -> np.ndarray:
-    """Log-determinants of a (m, d, d) stack of SPD matrices via Cholesky."""
-    if stack.shape[1] == 0:
-        return np.zeros(stack.shape[0])
-    try:
-        factors = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        raise SingularCovarianceError("a permuted covariance is not positive definite")
-    diags = np.diagonal(factors, axis1=1, axis2=2)
-    logdets = 2.0 * np.log(diags).sum(axis=1)
-    if logdets.min() <= _LOGDET_FLOOR:
-        raise SingularCovarianceError("a permuted covariance determinant underflows")
-    return logdets
-
-
-def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None, chunk_rows: int = 64_000_000) -> np.ndarray:
+def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None) -> np.ndarray:
     """CMI(x_i; y | z) for each replacement block x_i in an (m, n, dx) stack.
 
-    The (y, z) part of the covariance is fixed and computed once; each batch
-    member contributes only its own variance and cross-covariance, assembled
-    into stacked small matrices and factorized together.
+    The (y, z) covariance is computed once; each batch member contributes
+    only its own variance and cross-covariance. Members follow the same
+    degeneracy rule as :func:`gaussian_cmi`, so a constant member gets 0.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     if x_batch.ndim == 2:
@@ -143,48 +171,18 @@ def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None, chunk_rows: int = 64_000_
     m, n, dx = x_batch.shape
     y = as_columns(y)
     z = as_columns(z) if z is not None and np.size(z) else np.empty((n, 0))
-    dy, dz = y.shape[1], z.shape[1]
-    if n < dx + dy + dz + 2:
-        raise InsufficientSamplesError(
-            f"need at least {dx + dy + dz + 2} observations, got {n}"
-        )
+    d = dx + y.shape[1] + z.shape[1]
+    _check_samples(n, d)
     fixed = np.concatenate([y, z], axis=1)
     fixed_c = fixed - fixed.mean(axis=0)
-    s_ff = fixed_c.T @ fixed_c / (n - 1)
-    _chol_logdet(s_ff[dy:, dy:])  # singular conditioning is always an error
-    try:
-        _, ld_yz = _chol_logdet(s_ff)
-    except SingularCovarianceError:
-        return np.zeros(m)  # y deterministic given z: nothing left to share
-    _, ld_z = _chol_logdet(s_ff[dy:, dy:])
-
-    d_full = dx + dy + dz
-    out = np.empty(m, dtype=np.float64)
-    step = max(1, int(chunk_rows // max(1, n * dx)))
-    for start in range(0, m, step):
-        xc = x_batch[start : start + step]
-        xc = xc - xc.mean(axis=1, keepdims=True)
-        mm = xc.shape[0]
-        s_xx = np.einsum("mnd,mne->mde", xc, xc) / (n - 1)
-        s_xf = np.einsum("mnd,nf->mdf", xc, fixed_c) / (n - 1)
-
-        full = np.empty((mm, d_full, d_full))
-        full[:, :dx, :dx] = s_xx
-        full[:, :dx, dx:] = s_xf
-        full[:, dx:, :dx] = np.transpose(s_xf, (0, 2, 1))
-        full[:, dx:, dx:] = s_ff
-        ld_xyz = _batch_logdet(full)
-
-        d_xz = dx + dz
-        xz = np.empty((mm, d_xz, d_xz))
-        xz[:, :dx, :dx] = s_xx
-        xz[:, :dx, dx:] = s_xf[:, :, dy:]
-        xz[:, dx:, :dx] = np.transpose(s_xf[:, :, dy:], (0, 2, 1))
-        xz[:, dx:, dx:] = s_ff[dy:, dy:]
-        ld_xz = _batch_logdet(xz)
-
-        out[start : start + mm] = 0.5 * (ld_xz + ld_yz - ld_z - ld_xyz) / _LN2
-    return out
+    xc = x_batch - x_batch.mean(axis=1, keepdims=True)
+    s_xf = np.einsum("mnd,nf->mdf", xc, fixed_c) / (n - 1)
+    joint = np.empty((m, d, d))
+    joint[:, :dx, :dx] = np.einsum("mnd,mne->mde", xc, xc) / (n - 1)
+    joint[:, :dx, dx:] = s_xf
+    joint[:, dx:, :dx] = np.transpose(s_xf, (0, 2, 1))
+    joint[:, dx:, dx:] = fixed_c.T @ fixed_c / (n - 1)
+    return _cmi_stack(joint, dx, y.shape[1])[0]
 
 
 class GaussianEstimator(Estimator):

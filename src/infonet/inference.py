@@ -189,6 +189,13 @@ class NetworkResult:
         return tuple(l for l in self.links if l.fdr_significant)
 
 
+def prepare_dataset(dataset: Dataset, settings: InferenceSettings) -> Dataset:
+    """The dataset the estimators see: z-scored when the settings ask for it."""
+    if dataset.kind == "continuous" and settings.normalize and not dataset.normalized:
+        return normalize(dataset)
+    return dataset
+
+
 def make_estimator(settings: InferenceSettings, dataset: Dataset, target: int) -> Estimator:
     """Instantiate the configured estimator for one target analysis."""
     if settings.estimator == "discrete":
@@ -242,12 +249,7 @@ class _Workspace:
             raise DegenerateTargetError(
                 f"every replication of process {target} is constant"
             )
-        if (
-            dataset.kind == "continuous"
-            and settings.normalize
-            and not dataset.normalized
-        ):
-            dataset = normalize(dataset)
+        dataset = prepare_dataset(dataset, settings)
         self.dataset = dataset
         self.target = target
         self.settings = settings
@@ -575,6 +577,7 @@ def infer_network(
     dataset: Dataset, settings: InferenceSettings, threads: int = 1
 ) -> NetworkResult:
     """Run every target and assemble the FDR-corrected link structure."""
+    dataset = prepare_dataset(dataset, settings)
     targets = list(range(dataset.n_processes))
     if threads > 1 and len(targets) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -75,8 +75,3 @@ class NeighborIndex:
         if np.ndim(query) == 1 and np.ndim(radius) == 0:
             return int(counts[0])
         return counts
-
-
-def neighbor_index_build(points: np.ndarray) -> NeighborIndex:
-    """Build an exact max-norm neighbor index over ``points``."""
-    return NeighborIndex(points)

@@ -146,6 +146,19 @@ class TestPid:
         assert atoms["synergy"] == pytest.approx(1.0, abs=0.01)
         assert atoms["redundancy"] == pytest.approx(0.0, abs=0.01)
 
+    def test_alphabet_inferred_from_largest_symbol(self, tmp_path, capsys):
+        # A ternary target needs an alphabet of 3; without alphabet_sizes it
+        # comes from the file. Williams-Beer on SUM: 0.5 bit redundant, 1 synergistic.
+        s1 = np.array([0, 0, 1, 1] * 50)
+        s2 = np.array([0, 1, 0, 1] * 50)
+        data = tmp_path / "sum.csv"
+        data.write_text("\n".join(f"{a},{b},{a + b}" for a, b in zip(s1, s2)))
+        assert run_cli(["pid", "--input", str(data)]) == 0
+        atoms = json.loads(capsys.readouterr().out)
+        assert atoms["redundancy"] == pytest.approx(0.5, abs=1e-12)
+        assert atoms["synergy"] == pytest.approx(1.0, abs=1e-12)
+        assert atoms["unique_1"] == pytest.approx(0.0, abs=1e-12)
+
     def test_wrong_column_count_exit_2(self, tmp_path):
         data = tmp_path / "two.csv"
         data.write_text("0,1\n1,0\n")

@@ -9,7 +9,6 @@ from infonet import (
     InsufficientSamplesError,
     InvalidValueError,
     VariableRef,
-    add_noise,
     embed,
     load_csv,
     normalize,
@@ -140,30 +139,6 @@ class TestEmbed:
         real = embed(ds, 0, [], max_lag=1)
         assert np.array_equal(real.present, [2.0, 3.0, 4.0])
         assert real.lagged.shape == (3, 0)
-
-
-class TestAddNoise:
-    def test_zero_amplitude_identity(self):
-        ds = _dataset_from_series(np.arange(10.0))
-        real = embed(ds, 0, [VariableRef(0, 1)])
-        out = add_noise(real, amplitude=0.0, seed=1)
-        assert np.array_equal(out.present, real.present)
-        assert np.array_equal(out.lagged, real.lagged)
-
-    def test_deterministic_under_seed(self):
-        ds = _dataset_from_series(np.arange(10.0))
-        real = embed(ds, 0, [VariableRef(0, 1)])
-        a = add_noise(real, amplitude=1e-8, seed=5)
-        b = add_noise(real, amplitude=1e-8, seed=5)
-        assert np.array_equal(a.present, b.present)
-        assert np.array_equal(a.lagged, b.lagged)
-
-    def test_amplitude_bound(self):
-        ds = _dataset_from_series(np.arange(20.0))
-        real = embed(ds, 0, [VariableRef(0, 1)])
-        out = add_noise(real, amplitude=1e-8, seed=2)
-        assert np.max(np.abs(out.present - real.present)) <= 1e-8
-        assert np.max(np.abs(out.lagged - real.lagged)) <= 1e-8
 
 
 class TestLoadCsv:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infonet import (
     EstimatorError,
@@ -176,3 +178,100 @@ class TestBatchKernel:
         fast = est.candidates_cmi(cols, y, z)
         slow = [gaussian_cmi(cols[:, j : j + 1], y, z, with_local=False).value for j in range(10)]
         assert np.allclose(fast, slow, atol=1e-12)
+
+
+def _outcome(call):
+    """The call's value, or the type of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+
+
+def _degenerate_case(name, n=200):
+    rng = np.random.default_rng(26)
+    z = rng.normal(size=(n, 2))
+    x = z[:, :1] + rng.normal(size=(n, 1))
+    y = 0.5 * x + rng.normal(size=(n, 1))
+    return {
+        "constant x": (np.full((n, 1), 2.5), y, z, 0.0),
+        "x collinear with z": (z @ np.array([[1.5], [-0.7]]), y, z, 0.0),
+        "constant y": (x, np.zeros((n, 1)), z, 0.0),
+        "y a copy of x": (x, x.copy(), z, SingularCovarianceError),
+        "singular z": (x, y, np.column_stack([z[:, 0], 3.0 * z[:, 0]]), SingularCovarianceError),
+    }[name]
+
+
+class TestDegeneracyRule:
+    """Scalar and batched paths apply one rule to degenerate input."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["constant x", "x collinear with z", "constant y", "y a copy of x", "singular z"],
+    )
+    def test_scalar_and_batch_agree(self, name):
+        x, y, z, expected = _degenerate_case(name)
+        n = x.shape[0]
+        scalar = _outcome(lambda: gaussian_cmi(x, y, z).value)
+        assert scalar == expected
+        assert _outcome(lambda: gaussian_cmi_batch(x[np.newaxis], y, z)[0]) == expected
+        if expected == 0.0:
+            assert np.all(gaussian_cmi(x, y, z).local == 0.0)
+
+        healthy = np.random.default_rng(27).normal(size=(4, n, 1))
+        stack = np.concatenate([healthy[:2], x[np.newaxis], healthy[2:]])
+        batch = _outcome(lambda: gaussian_cmi_batch(stack, y, z))
+        if isinstance(expected, type):
+            assert batch is expected
+            return
+        assert batch[2] == expected
+        for i in (0, 1, 3, 4):
+            single = gaussian_cmi(stack[i], y, z, with_local=False).value
+            assert abs(batch[i] - single) <= 1e-12
+
+
+@st.composite
+def _gaussian_blocks(draw):
+    """(x, y, z) with random widths and correlations, well above the sample floor."""
+    dx, dy, dz = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    d = dx + dy + dz
+    n = draw(st.integers(3 * d + 10, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixing = np.eye(d) + np.triu(rng.normal(scale=0.7, size=(d, d)), k=1)
+    data = rng.normal(size=(n, d)) @ mixing
+    return data[:, :dx], data[:, dx : dx + dy], data[:, dx + dy :], rng
+
+
+_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+class TestProperties:
+    @_PROPERTY_SETTINGS
+    @given(_gaussian_blocks())
+    def test_exact_symmetry_in_x_and_y(self, blocks):
+        x, y, z, _ = blocks
+        assert gaussian_cmi(x, y, z).value == gaussian_cmi(y, x, z).value
+
+    @_PROPERTY_SETTINGS
+    @given(_gaussian_blocks())
+    def test_conditioning_order_invariance(self, blocks):
+        x, y, z, rng = blocks
+        shuffled = z[:, rng.permutation(z.shape[1])]
+        assert gaussian_cmi(x, y, shuffled).value == pytest.approx(
+            gaussian_cmi(x, y, z).value, abs=1e-10
+        )
+
+    @_PROPERTY_SETTINGS
+    @given(_gaussian_blocks())
+    def test_non_negative(self, blocks):
+        x, y, z, _ = blocks
+        assert gaussian_cmi(x, y, z).value >= -1e-9
+
+    @_PROPERTY_SETTINGS
+    @given(_gaussian_blocks(), st.integers(1, 6))
+    def test_batch_members_equal_scalar_values(self, blocks, m):
+        x, y, z, rng = blocks
+        stack = np.stack([x] + [x[rng.permutation(x.shape[0])] for _ in range(m - 1)])
+        batch = gaussian_cmi_batch(stack, y, z)
+        singles = [gaussian_cmi(member, y, z, with_local=False).value for member in stack]
+        assert np.max(np.abs(batch - singles)) <= 1e-12

@@ -220,6 +220,29 @@ class TestInferTarget:
         assert all(s.variable.process != 1 for s in result.selected_sources)
 
 
+class TestConstantProcess:
+    """A constant process carries no information as a source and is a typed error as a target."""
+
+    _settings = InferenceSettings(
+        seed=31, n_perm_max=50, n_perm_min=50, n_perm_omnibus=50, n_perm_seq=50
+    )
+
+    @staticmethod
+    def _dataset():
+        values = _coupled(30, n=1500).values
+        constant = np.full((1, values.shape[1], 1), 4.0)
+        return Dataset(values=np.concatenate([values, constant]))
+
+    def test_constant_source_is_never_selected(self):
+        result = infer_target(self._dataset(), 1, self._settings)
+        assert all(s.variable.process != 2 for s in result.selected_sources)
+        assert result.per_source_delay == {0: 2}
+
+    def test_network_names_the_constant_target(self):
+        with pytest.raises(DegenerateTargetError, match="process 2"):
+            infer_network(self._dataset(), self._settings)
+
+
 class TestInferNetwork:
     def test_single_process_empty_network(self):
         ds = _white_noise(1, 800, 21)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from infonet import DataError, NeighborIndex, neighbor_index_build
+from infonet import DataError, NeighborIndex
 from infonet.errors import EstimatorError
 
 
@@ -22,7 +22,7 @@ def brute_range_count(points, query, radius):
 class TestHandGeometry:
     def test_collinear_middle_point(self):
         points = np.array([[0.0], [1.0], [2.0]])
-        index = neighbor_index_build(points)
+        index = NeighborIndex(points)
         assert index.kth_distance(np.array([1.0]), 1) == 1.0
 
     def test_zero_radius_counts_nothing(self):
