@@ -38,6 +38,13 @@ class Estimator:
     same conditional mutual information for a stack of replacement
     first-argument columns; the default loops, the Gaussian estimator
     vectorizes it.
+
+    Contract of ``cmi_surrogate_batch``: members are row permutations of
+    member 0 (the permutation tests gather every member from one column
+    block with one circular shift or replication shuffle per draw). An
+    implementation may rely on it, as the Gaussian one does by taking the
+    mean and covariance of x from member 0; the default loop and the kNN
+    estimator do not.
     """
 
     name = "base"

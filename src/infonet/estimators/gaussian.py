@@ -158,6 +158,36 @@ def gaussian_mi(x, y, with_local: bool = True) -> InfoValue:
     return gaussian_cmi(x, y, None, with_local=with_local)
 
 
+def _as_batch(x_batch) -> np.ndarray:
+    x_batch = np.asarray(x_batch, dtype=np.float64)
+    return x_batch[:, :, np.newaxis] if x_batch.ndim == 2 else x_batch
+
+
+def _centered_fixed(y, z, n: int, dx: int) -> tuple[np.ndarray, int]:
+    """The centered (y, z) columns shared by a batch, and the width of y."""
+    y = as_columns(y)
+    z = as_columns(z) if z is not None and np.size(z) else np.empty((n, 0))
+    _check_samples(n, dx + y.shape[1] + z.shape[1])
+    fixed = np.concatenate([y, z], axis=1)
+    return fixed - fixed.mean(axis=0), y.shape[1]
+
+
+def _batch_cmi(s_xx: np.ndarray, s_xf: np.ndarray, fixed_c: np.ndarray, dy: int) -> np.ndarray:
+    """Assemble each member's joint covariance from its x blocks and run the kernel.
+
+    ``s_xf`` is the (m, dx, dy+dz) stack of cross-covariances; ``s_xx`` is
+    either a matching (m, dx, dx) stack or one (dx, dx) block shared by all.
+    """
+    m, dx, _ = s_xf.shape
+    d = dx + fixed_c.shape[1]
+    joint = np.empty((m, d, d))
+    joint[:, :dx, :dx] = s_xx
+    joint[:, :dx, dx:] = s_xf
+    joint[:, dx:, :dx] = np.transpose(s_xf, (0, 2, 1))
+    joint[:, dx:, dx:] = fixed_c.T @ fixed_c / (fixed_c.shape[0] - 1)
+    return _cmi_stack(joint, dx, dy)[0]
+
+
 def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None) -> np.ndarray:
     """CMI(x_i; y | z) for each replacement block x_i in an (m, n, dx) stack.
 
@@ -165,24 +195,13 @@ def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None) -> np.ndarray:
     only its own variance and cross-covariance. Members follow the same
     degeneracy rule as :func:`gaussian_cmi`, so a constant member gets 0.
     """
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    if x_batch.ndim == 2:
-        x_batch = x_batch[:, :, np.newaxis]
+    x_batch = _as_batch(x_batch)
     m, n, dx = x_batch.shape
-    y = as_columns(y)
-    z = as_columns(z) if z is not None and np.size(z) else np.empty((n, 0))
-    d = dx + y.shape[1] + z.shape[1]
-    _check_samples(n, d)
-    fixed = np.concatenate([y, z], axis=1)
-    fixed_c = fixed - fixed.mean(axis=0)
+    fixed_c, dy = _centered_fixed(y, z, n, dx)
     xc = x_batch - x_batch.mean(axis=1, keepdims=True)
     s_xf = np.einsum("mnd,nf->mdf", xc, fixed_c) / (n - 1)
-    joint = np.empty((m, d, d))
-    joint[:, :dx, :dx] = np.einsum("mnd,mne->mde", xc, xc) / (n - 1)
-    joint[:, :dx, dx:] = s_xf
-    joint[:, dx:, :dx] = np.transpose(s_xf, (0, 2, 1))
-    joint[:, dx:, dx:] = fixed_c.T @ fixed_c / (n - 1)
-    return _cmi_stack(joint, dx, y.shape[1])[0]
+    s_xx = np.einsum("mnd,mne->mde", xc, xc) / (n - 1)
+    return _batch_cmi(s_xx, s_xf, fixed_c, dy)
 
 
 class GaussianEstimator(Estimator):
@@ -197,7 +216,20 @@ class GaussianEstimator(Estimator):
         return gaussian_cmi(x, y, z, with_local=False).value
 
     def cmi_surrogate_batch(self, x_batch, y, z=None) -> np.ndarray:
-        return gaussian_cmi_batch(x_batch, y, z)
+        """Surrogate CMIs that recompute only the cross-covariance with (y, z).
+
+        Members are row permutations of member 0, so they share its mean and
+        covariance. Each member is centered on that mean while it is laid
+        out as (dx, n) rows, and one matrix product gives every member's
+        cross-covariance. Values match :func:`gaussian_cmi_batch` to rounding.
+        """
+        x_batch = _as_batch(x_batch)
+        m, n, dx = x_batch.shape
+        fixed_c, dy = _centered_fixed(y, z, n, dx)
+        mean = x_batch[0].mean(axis=0)
+        xc = np.subtract(x_batch.transpose(0, 2, 1), mean[:, np.newaxis], order="C")
+        s_xf = (xc.reshape(m * dx, n) @ fixed_c).reshape(m, dx, -1) / (n - 1)
+        return _batch_cmi(xc[0] @ xc[0].T / (n - 1), s_xf, fixed_c, dy)
 
     def candidates_cmi(self, columns, y, z=None) -> np.ndarray:
         columns = np.atleast_2d(np.asarray(columns, dtype=np.float64))

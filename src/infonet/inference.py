@@ -245,10 +245,7 @@ class _Workspace:
     ):
         if not 0 <= target < dataset.n_processes:
             raise DataError(f"target process {target} out of range")
-        if _is_degenerate(dataset, target):
-            raise DegenerateTargetError(
-                f"every replication of process {target} is constant"
-            )
+        _check_target(dataset, target)
         dataset = prepare_dataset(dataset, settings)
         self.dataset = dataset
         self.target = target
@@ -302,9 +299,9 @@ class _Workspace:
         )
 
 
-def _is_degenerate(dataset: Dataset, target: int) -> bool:
-    block = dataset.values[target]
-    return bool(np.all(np.ptp(block, axis=0) == 0))
+def _check_target(dataset: Dataset, target: int) -> None:
+    if np.all(np.ptp(dataset.values[target], axis=0) == 0):
+        raise DegenerateTargetError(f"every replication of process {target} is constant")
 
 
 def _argbest(observed: np.ndarray, variables: list[VariableRef]) -> int:
@@ -579,6 +576,10 @@ def infer_network(
     """Run every target and assemble the FDR-corrected link structure."""
     dataset = prepare_dataset(dataset, settings)
     targets = list(range(dataset.n_processes))
+    if dataset.n_processes > 1 or settings.is_te_mode:
+        # Fail before any target runs, not after the others have finished.
+        for t in targets:
+            _check_target(dataset, t)
     if threads > 1 and len(targets) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda t: infer_target(dataset, t, settings), targets))

@@ -6,6 +6,13 @@ null. Surrogates are deterministic functions of (policy seed, draw index):
 within one permutation draw, every column shares the same per-replication
 offsets, which keeps results independent of evaluation order and makes the
 joint (omnibus) surrogation a special case of the same machinery.
+
+A test builds its surrogates once, as an (n_permutations, n) index matrix:
+the replication blocks of its rows are derived once, then each draw makes its
+own generator and offsets (a replication shuffle reorders whole rows of the
+(blocks, length) grid). Every surrogate is therefore a row permutation of the
+column block it gathers from, which is the contract of
+``Estimator.cmi_surrogate_batch``.
 """
 
 from __future__ import annotations
@@ -63,24 +70,28 @@ class MinStatOutcome:
     result: TestResult
 
 
-def _replication_blocks(rep_ids: np.ndarray) -> list[tuple[int, int]]:
+def replication_blocks(rep_ids: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) rows of each run of equal replication ids, in row order."""
     ids = np.asarray(rep_ids)
     if ids.ndim != 1 or ids.size == 0:
         raise StatsError("replication ids must be a non-empty 1-D array")
     boundaries = np.flatnonzero(np.diff(ids) != 0) + 1
-    edges = np.concatenate([[0], boundaries, [ids.size]])
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(len(edges) - 1)]
+    edges = [0, *boundaries.tolist(), ids.size]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def surrogate_indices(
-    rep_ids: np.ndarray, policy: SurrogatePolicy, draw_index: int
+    blocks: list[tuple[int, int]], policy: SurrogatePolicy, draw_index: int
 ) -> np.ndarray:
-    """Gather indices realizing one surrogate draw over realization rows."""
-    blocks = _replication_blocks(rep_ids)
+    """Gather indices realizing one surrogate draw over realization rows.
+
+    ``blocks`` are the replication blocks of the rows, from
+    :func:`replication_blocks`.
+    """
     rng = rng_for(policy.seed, draw_index)
-    n = int(np.asarray(rep_ids).size)
-    idx = np.empty(n, dtype=np.int64)
+    n = blocks[-1][1]
     if policy.method == CIRCULAR_SHIFT:
+        idx = np.empty(n, dtype=np.int64)
         for start, stop in blocks:
             length = stop - start
             if length < 2 * policy.min_shift:
@@ -90,31 +101,24 @@ def surrogate_indices(
             offset = policy.min_shift + int(
                 rng.integers(0, length - 2 * policy.min_shift + 1)
             )
-            idx[start:stop] = start + (np.arange(length) - offset) % length
-    else:
-        if len(blocks) < 2:
-            raise InsufficientReplicationsError(
-                "replication_shuffle needs at least 2 replications"
-            )
-        lengths = {stop - start for start, stop in blocks}
-        if len(lengths) != 1:
-            raise StatsError("replication_shuffle requires equal-length replications")
-        order = rng.permutation(len(blocks))
-        pos = 0
-        for b in order:
-            start, stop = blocks[b]
-            idx[pos : pos + (stop - start)] = np.arange(start, stop)
-            pos += stop - start
-    return idx
+            # Rotate the block right by offset: its last offset rows come first.
+            idx[start : start + offset] = np.arange(stop - offset, stop)
+            idx[start + offset : stop] = np.arange(start, stop - offset)
+        return idx
+    if len(blocks) < 2:
+        raise InsufficientReplicationsError("replication_shuffle needs at least 2 replications")
+    if len({stop - start for start, stop in blocks}) != 1:
+        raise StatsError("replication_shuffle requires equal-length replications")
+    order = rng.permutation(len(blocks))
+    return np.arange(n).reshape(len(blocks), -1)[order].ravel()
 
 
 def surrogate_index_matrix(
     rep_ids: np.ndarray, policy: SurrogatePolicy, n_perm: int
 ) -> np.ndarray:
     """Gather indices for draws 0..n_perm-1, stacked as (n_perm, n)."""
-    return np.stack(
-        [surrogate_indices(rep_ids, policy, d) for d in range(n_perm)], axis=0
-    )
+    blocks = replication_blocks(rep_ids)
+    return np.stack([surrogate_indices(blocks, policy, d) for d in range(n_perm)], axis=0)
 
 
 def check_permutation_count(n_perm: int, alpha: float) -> None:

@@ -13,6 +13,12 @@ from infonet import (
     gaussian_mi,
 )
 from infonet.estimators.gaussian import gaussian_cmi_batch
+from infonet.stats import (
+    CIRCULAR_SHIFT,
+    REPLICATION_SHUFFLE,
+    SurrogatePolicy,
+    surrogate_index_matrix,
+)
 
 
 def _correlated_pair(rng, n, rho):
@@ -275,3 +281,50 @@ class TestProperties:
         batch = gaussian_cmi_batch(stack, y, z)
         singles = [gaussian_cmi(member, y, z, with_local=False).value for member in stack]
         assert np.max(np.abs(batch - singles)) <= 1e-12
+
+
+@st.composite
+def _surrogate_stacks(draw):
+    """(x surrogates, y, z) gathered as the permutation tests gather them."""
+    dx, dy, dz = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 4))
+    method = draw(st.sampled_from([CIRCULAR_SHIFT, REPLICATION_SHUFFLE]))
+    n_reps = draw(st.integers(1 if method == CIRCULAR_SHIFT else 2, 4))
+    d = dx + dy + dz
+    length = draw(st.integers(max(10, (3 * d + 10) // n_reps + 1), 400 // n_reps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixing = np.eye(d) + np.triu(rng.normal(scale=0.7, size=(d, d)), k=1)
+    data = rng.normal(size=(n_reps * length, d)) @ mixing
+    x = data[:, :dx] + draw(st.sampled_from([0.0, 1e3]))
+    min_shift, seed = draw(st.integers(1, 5)), draw(st.integers(0, 999))
+    policy = SurrogatePolicy(method, min_shift=min_shift, seed=seed)
+    rep_ids = np.repeat(np.arange(n_reps), length)
+    index = surrogate_index_matrix(rep_ids, policy, draw(st.integers(1, 30)))
+    return np.take(x, index, axis=0), data[:, dx : dx + dy], data[:, dx + dy :]
+
+
+class TestSurrogateBatch:
+    """The cross-covariance surrogate path equals the general batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_surrogate_stacks())
+    def test_equals_general_batch(self, stack):
+        x_batch, y, z = stack
+        fast = GaussianEstimator().cmi_surrogate_batch(x_batch, y, z)
+        assert np.max(np.abs(fast - gaussian_cmi_batch(x_batch, y, z))) <= 1e-12
+
+    def _stack(self, name):
+        x, y, z, _ = _degenerate_case(name)
+        index = surrogate_index_matrix(np.zeros(len(x), dtype=int), SurrogatePolicy(seed=3), 5)
+        return np.take(x, index, axis=0), y, z
+
+    def test_constant_x_is_zero_on_both_paths(self):
+        x_batch, y, z = self._stack("constant x")
+        assert np.all(GaussianEstimator().cmi_surrogate_batch(x_batch, y, z) == 0.0)
+        assert np.all(gaussian_cmi_batch(x_batch, y, z) == 0.0)
+
+    def test_singular_z_raises_on_both_paths(self):
+        x_batch, y, z = self._stack("singular z")
+        with pytest.raises(SingularCovarianceError):
+            GaussianEstimator().cmi_surrogate_batch(x_batch, y, z)
+        with pytest.raises(SingularCovarianceError):
+            gaussian_cmi_batch(x_batch, y, z)

@@ -17,6 +17,7 @@ from infonet import (
     select_sources,
     select_target_past,
 )
+from infonet import inference
 from infonet.errors import InferenceError
 
 
@@ -241,6 +242,19 @@ class TestConstantProcess:
     def test_network_names_the_constant_target(self):
         with pytest.raises(DegenerateTargetError, match="process 2"):
             infer_network(self._dataset(), self._settings)
+
+    def test_network_fails_before_any_target_runs(self, monkeypatch):
+        calls = []
+        run_target = inference.infer_target
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return run_target(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "infer_target", counting)
+        with pytest.raises(DegenerateTargetError, match="process 2"):
+            infer_network(self._dataset(), self._settings)
+        assert calls == []
 
 
 class TestInferNetwork:

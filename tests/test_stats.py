@@ -20,6 +20,8 @@ from infonet.stats import (
     REPLICATION_SHUFFLE,
     check_permutation_count,
     permutation_pvalue,
+    replication_blocks,
+    surrogate_index_matrix,
     surrogate_indices,
 )
 
@@ -31,10 +33,10 @@ def _policy(method=CIRCULAR_SHIFT, min_shift=1, seed=0):
 class TestSurrogates:
     def test_rotation_definition(self):
         column = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        rep_ids = np.zeros(5, dtype=int)
+        blocks = replication_blocks(np.zeros(5, dtype=int))
         seen = set()
         for draw in range(50):
-            out = column[surrogate_indices(rep_ids, _policy(min_shift=1, seed=3), draw)]
+            out = column[surrogate_indices(blocks, _policy(min_shift=1, seed=3), draw)]
             seen.add(tuple(out))
         # every outcome is a rotation with offset in [1, 4]
         rotations = {tuple(np.roll(column, k)) for k in range(1, 5)}
@@ -45,51 +47,77 @@ class TestSurrogates:
     def test_multiset_preserved(self):
         rng = np.random.default_rng(70)
         column = rng.normal(size=40)
-        rep_ids = np.repeat([0, 1], 20)
+        blocks = replication_blocks(np.repeat([0, 1], 20))
         for draw in range(20):
-            out = column[surrogate_indices(rep_ids, _policy(min_shift=2, seed=1), draw)]
+            out = column[surrogate_indices(blocks, _policy(min_shift=2, seed=1), draw)]
             assert np.array_equal(np.sort(out[:20]), np.sort(column[:20]))
             assert np.array_equal(np.sort(out[20:]), np.sort(column[20:]))
 
     def test_deterministic_per_draw(self):
         rng = np.random.default_rng(71)
         column = rng.normal(size=30)
-        rep_ids = np.zeros(30, dtype=int)
-        a = column[surrogate_indices(rep_ids, _policy(seed=5), 7)]
-        b = column[surrogate_indices(rep_ids, _policy(seed=5), 7)]
-        c = column[surrogate_indices(rep_ids, _policy(seed=5), 8)]
+        blocks = replication_blocks(np.zeros(30, dtype=int))
+        a = column[surrogate_indices(blocks, _policy(seed=5), 7)]
+        b = column[surrogate_indices(blocks, _policy(seed=5), 7)]
+        c = column[surrogate_indices(blocks, _policy(seed=5), 8)]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_min_shift_honored(self):
-        column = np.arange(10.0)
-        rep_ids = np.zeros(10, dtype=int)
+        blocks = replication_blocks(np.zeros(10, dtype=int))
         for draw in range(30):
-            idx = surrogate_indices(rep_ids, _policy(min_shift=3, seed=2), draw)
+            idx = surrogate_indices(blocks, _policy(min_shift=3, seed=2), draw)
             offset = int(np.flatnonzero(idx == 0)[0])
             assert 3 <= offset <= 7
 
     def test_too_short_for_shift(self):
-        rep_ids = np.zeros(5, dtype=int)
+        blocks = replication_blocks(np.zeros(5, dtype=int))
         with pytest.raises(InsufficientSamplesError):
-            surrogate_indices(rep_ids, _policy(min_shift=3), 0)
+            surrogate_indices(blocks, _policy(min_shift=3), 0)
 
     def test_replication_shuffle_permutes_blocks(self):
         column = np.concatenate([np.zeros(5), np.ones(5), np.full(5, 2.0)])
-        rep_ids = np.repeat([0, 1, 2], 5)
+        blocks = replication_blocks(np.repeat([0, 1, 2], 5))
         policy = _policy(method=REPLICATION_SHUFFLE, seed=4)
         seen = set()
         for draw in range(30):
-            out = column[surrogate_indices(rep_ids, policy, draw)]
-            blocks = tuple(out[i * 5] for i in range(3))
-            assert sorted(blocks) == [0.0, 1.0, 2.0]
-            seen.add(blocks)
+            out = column[surrogate_indices(blocks, policy, draw)]
+            firsts = tuple(out[i * 5] for i in range(3))
+            assert sorted(firsts) == [0.0, 1.0, 2.0]
+            seen.add(firsts)
         assert len(seen) > 1
 
+    def test_random_stream_is_pinned(self):
+        # Hard-coded draws 0-3 at seed 11: any change to the random stream,
+        # which every published p-value depends on, fails here.
+        rep_ids = np.repeat([0, 1, 2], 12)
+        r = np.r_
+        expected = {
+            CIRCULAR_SHIFT: [
+                r[9:12, 0:9, 21:24, 12:21, 27:36, 24:27],
+                r[8:12, 0:8, 21:24, 12:21, 32:36, 24:32],
+                r[9:12, 0:9, 14:24, 12:14, 28:36, 24:28],
+                r[10:12, 0:10, 14:24, 12:14, 32:36, 24:32],
+            ],
+            REPLICATION_SHUFFLE: [
+                r[12:24, 0:12, 24:36],
+                r[0:36],
+                r[0:12, 24:36, 12:24],
+                r[0:12, 24:36, 12:24],
+            ],
+        }
+        for method, vectors in expected.items():
+            policy = _policy(method=method, min_shift=2, seed=11)
+            matrix = surrogate_index_matrix(rep_ids, policy, 4)
+            for draw, vector in enumerate(vectors):
+                drawn = surrogate_indices(replication_blocks(rep_ids), policy, draw)
+                assert np.array_equal(drawn, vector)
+                assert np.array_equal(matrix[draw], vector)
+
     def test_replication_shuffle_needs_replications(self):
-        rep_ids = np.zeros(10, dtype=int)
+        blocks = replication_blocks(np.zeros(10, dtype=int))
         with pytest.raises(InsufficientReplicationsError):
-            surrogate_indices(rep_ids, _policy(method=REPLICATION_SHUFFLE), 0)
+            surrogate_indices(blocks, _policy(method=REPLICATION_SHUFFLE), 0)
 
 
 class TestPvalueConventions:
