@@ -79,6 +79,7 @@ from .inference import (
     NetworkResult,
     SelectedSource,
     TargetResult,
+    TargetWorkspace,
     infer_network,
     infer_target,
     make_estimator,

@@ -1,7 +1,9 @@
 """Active information storage: how much a process's past tells about its present.
 
 The informative past is built with the same greedy self-embedding used during
-network inference; the storage value is the joint mutual information between
+network inference (:func:`~infonet.inference.select_target_past` on a
+:class:`~infonet.inference.TargetWorkspace` holding only the target's own
+lags); the storage value is the joint mutual information between
 the selected past variables and the present sample. Significance comes from
 jointly surrogating the past columns, and "no storage detected" is a
 first-class outcome: an empty embedding reports 0 bits with p = 1.
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, VariableRef
-from .inference import InferenceSettings, _greedy_select, _Workspace
-from .seeding import PHASE_OMNIBUS, PHASE_TARGET_PAST
+from .inference import InferenceSettings, TargetWorkspace, select_target_past
+from .seeding import PHASE_OMNIBUS
 from .stats import TestResult, omnibus_test
 
 
@@ -33,9 +35,8 @@ class StorageResult:
 
 def ais_estimate(dataset: Dataset, process: int, settings: InferenceSettings) -> StorageResult:
     """Greedy self-embedding plus joint past-present information, with locals."""
-    ws = _Workspace(dataset, process, settings, include_sources=False)
-    embedding = _greedy_select(ws, ws.past_pool, [], PHASE_TARGET_PAST)
-    embedding = sorted(embedding, key=VariableRef.sort_key)
+    ws = TargetWorkspace(dataset, process, settings, include_sources=False)
+    embedding = sorted(select_target_past(ws), key=VariableRef.sort_key)
     if not embedding:
         return StorageResult(
             process=process,

@@ -96,11 +96,11 @@ def _build_settings(cfg: dict, seed_override: int | None) -> InferenceSettings:
         raise ConfigError(f"bad settings: {err}")
 
 
-def _load_dataset(cfg: dict, command: str):
-    if "input" not in cfg:
-        raise ConfigError(f"{command!r} requires an 'input' path in the config")
+def _load_dataset(cfg: dict, command: str, key: str = "input"):
+    if key not in cfg:
+        raise ConfigError(f"{command!r} requires an {key!r} path in the config")
     return load_csv(
-        cfg["input"],
+        cfg[key],
         kind=cfg.get("kind", "continuous"),
         alphabet_size=cfg.get("alphabet_size"),
         replication_mode=cfg.get("replication_mode", "auto"),
@@ -243,10 +243,8 @@ def _cmd_compare(args) -> int:
         if key not in cfg:
             raise ConfigError(f"'compare' requires config key {key!r}")
     settings = _build_settings(cfg, args.seed)
-    kind = cfg.get("kind", "continuous")
-    alphabet = cfg.get("alphabet_size")
-    data_a = load_csv(cfg["input_a"], kind=kind, alphabet_size=alphabet)
-    data_b = load_csv(cfg["input_b"], kind=kind, alphabet_size=alphabet)
+    data_a = _load_dataset(cfg, "compare", "input_a")
+    data_b = _load_dataset(cfg, "compare", "input_b")
     networks = []
     for path in cfg["networks"]:
         p = Path(path)

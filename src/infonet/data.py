@@ -142,15 +142,13 @@ class Realization:
     """Flat observation table produced by :func:`embed`.
 
     ``present`` holds the target's current sample, ``lagged`` one column per
-    ``VariableRef`` (same order). Rows are grouped by replication and never
+    requested ``VariableRef`` (same order). Rows are grouped by replication and never
     straddle replication boundaries.
     """
 
     present: np.ndarray
     lagged: np.ndarray
-    variables: tuple[VariableRef, ...]
     replication_of_row: np.ndarray
-    max_lag: int
 
     @property
     def n_rows(self) -> int:
@@ -199,9 +197,7 @@ def embed(
     return Realization(
         present=present,
         lagged=lagged,
-        variables=variables,
         replication_of_row=rep_of_row,
-        max_lag=max_lag,
     )
 
 

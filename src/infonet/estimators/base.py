@@ -33,8 +33,8 @@ def as_columns(x) -> np.ndarray:
 class Estimator:
     """Common driver interface used by inference and the permutation tests.
 
-    Concrete estimators implement ``cmi`` (full result with locals) and
-    ``cmi_value`` (scalar fast path). ``cmi_surrogate_batch`` evaluates the
+    Concrete estimators implement ``cmi`` (full result with locals) and may
+    override ``cmi_value`` (scalar fast path). ``cmi_surrogate_batch`` evaluates the
     same conditional mutual information for a stack of replacement
     first-argument columns; the default loops, the Gaussian estimator
     vectorizes it.

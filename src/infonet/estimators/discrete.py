@@ -170,6 +170,3 @@ class DiscreteEstimator(Estimator):
 
     def cmi(self, x, y, z=None) -> InfoValue:
         return plugin_cmi(x, y, z, self.alphabet_size, self.state_cap)
-
-    def cmi_value(self, x, y, z=None) -> float:
-        return self.cmi(x, y, z).value

@@ -1,16 +1,19 @@
 """Greedy construction of directed information-transfer networks.
 
-For each target the algorithm optionally builds a self-embedding (the
-target's own informative past), then grows a parent set over lagged source
-variables by repeatedly taking the candidate with the largest conditional
-mutual information and gating it with a maximum-statistic permutation test.
-The conditioning set grows with every accepted variable, which removes
-redundant candidates and lets synergistic ones surface. Accepted variables
-are then re-examined with a minimum-statistic prune, the surviving set faces
-a joint omnibus test, and per-variable p-values are recomputed by re-running
-the maximum-statistic construction over the surviving variables in
-decreasing order of contribution. Network-level false discoveries are
-controlled with Benjamini-Hochberg across all candidate links.
+Each target is analysed on one :class:`TargetWorkspace`, built once, which
+embeds the target's present and every candidate column; every phase runs on
+it. :func:`select_target_past` builds the target's self-embedding (TE modes).
+:func:`select_sources` grows a parent set over lagged source variables by
+repeatedly taking the candidate with the largest conditional mutual
+information and gating it with a maximum-statistic permutation test; the
+conditioning set grows with every accepted variable, which removes redundant
+candidates and lets synergistic ones surface. :func:`prune` re-examines the
+accepted variables with a minimum-statistic test. :func:`infer_target` puts
+the survivors to a joint omnibus test and recomputes per-variable p-values by
+re-running the maximum-statistic construction over them in decreasing order
+of contribution. Bivariate modes run selection, prune and the final p-values
+once per source process. Network-level false discoveries are controlled with
+Benjamini-Hochberg across all candidate links.
 """
 
 from __future__ import annotations
@@ -233,8 +236,15 @@ def _source_pool(settings: InferenceSettings, target: int, n_processes: int) -> 
     ]
 
 
-class _Workspace:
-    """Embedded candidate columns and test plumbing for one target."""
+class TargetWorkspace:
+    """One target's embedded candidate columns and test plumbing, built once.
+
+    Every phase of the target's analysis runs on it: the three public steps,
+    the omnibus and sequential phases of :func:`infer_target`, and
+    :func:`infonet.ais.ais_estimate`. ``past_pool`` is empty in MI modes;
+    ``include_sources=False`` empties ``source_pool`` and keeps the
+    target-past pool whatever the mode (the self-embedding of AIS).
+    """
 
     def __init__(
         self,
@@ -252,8 +262,6 @@ class _Workspace:
         self.settings = settings
         self.estimator = make_estimator(settings, dataset, target)
 
-        # Standalone self-embedding (include_sources=False) always needs the
-        # target-past pool, whatever the configured mode.
         self.past_pool = (
             _target_past_pool(settings, target)
             if settings.is_te_mode or not include_sources
@@ -304,82 +312,76 @@ def _check_target(dataset: Dataset, target: int) -> None:
         raise DegenerateTargetError(f"every replication of process {target} is constant")
 
 
-def _argbest(observed: np.ndarray, variables: list[VariableRef]) -> int:
-    """Largest CMI; ties broken by (process asc, lag asc) for reproducibility."""
-    return min(
-        range(len(variables)),
-        key=lambda i: (-observed[i], variables[i].process, variables[i].lag),
+def _groups(ws: TargetWorkspace, variables) -> list[list[VariableRef]]:
+    """Variable sets analysed separately: all at once, or per process when bivariate."""
+    if not ws.settings.is_bivariate:
+        return [list(variables)]
+    processes = sorted({v.process for v in variables})
+    return [[v for v in variables if v.process == p] for p in processes]
+
+
+def _max_step(
+    ws: TargetWorkspace,
+    pool: list[VariableRef],
+    conditioning: list[VariableRef],
+    eligible,
+    policy: SurrogatePolicy,
+    n_perm: int,
+) -> tuple[int, float, TestResult]:
+    """Best eligible pool index, its CMI and its max-statistic test over the pool.
+
+    Ties are broken by (process asc, lag asc) for reproducibility.
+    """
+    z = ws.columns(conditioning)
+    cols = ws.columns(pool)
+    observed = ws.estimator.candidates_cmi(cols, ws.y, z)
+    best = min(eligible, key=lambda i: (-observed[i], pool[i].process, pool[i].lag))
+    cmi = float(observed[best])
+    test = max_statistic_test(
+        cols,
+        observed,
+        ws.y,
+        z,
+        ws.rep_ids,
+        ws.estimator,
+        policy,
+        n_perm,
+        ws.settings.alpha_max,
+        observed_statistic=cmi,
     )
+    return best, cmi, test
 
 
 def _greedy_select(
-    ws: _Workspace,
+    ws: TargetWorkspace,
     pool: list[VariableRef],
     conditioning: list[VariableRef],
     phase: int,
 ) -> list[VariableRef]:
     """Grow a variable set by argmax-CMI steps gated with the max-statistic test."""
-    settings = ws.settings
     remaining = sorted(pool, key=VariableRef.sort_key)
     selected: list[VariableRef] = []
-    step = 0
     while remaining:
-        z = ws.columns(conditioning + selected)
-        cols = ws.columns(remaining)
-        observed = ws.estimator.candidates_cmi(cols, ws.y, z)
-        best = _argbest(observed, remaining)
-        test = max_statistic_test(
-            cols,
-            observed,
-            ws.y,
-            z,
-            ws.rep_ids,
-            ws.estimator,
-            ws.policy(phase, step),
-            settings.n_perm_max,
-            settings.alpha_max,
-            observed_statistic=float(observed[best]),
+        best, _, test = _max_step(
+            ws,
+            remaining,
+            conditioning + selected,
+            range(len(remaining)),
+            ws.policy(phase, len(selected)),
+            ws.settings.n_perm_max,
         )
         if not test.significant:
             break
         selected.append(remaining.pop(best))
-        step += 1
     return selected
 
 
-def _prune(
-    ws: _Workspace,
-    selected: list[VariableRef],
-    conditioning: list[VariableRef],
-) -> list[VariableRef]:
-    """Drop weakest variables until the minimum-statistic test holds."""
-    settings = ws.settings
-    survivors = sorted(selected, key=VariableRef.sort_key)
-    round_no = 0
-    while survivors:
-        outcome = min_statistic_test(
-            ws.columns(survivors),
-            ws.y,
-            ws.columns(conditioning),
-            ws.rep_ids,
-            ws.estimator,
-            ws.policy(PHASE_PRUNE, round_no),
-            settings.n_perm_min,
-            settings.alpha_min,
-        )
-        if outcome.result.significant:
-            break
-        survivors.pop(outcome.weakest)
-        round_no += 1
-    return survivors
-
-
 def _sequential_stats(
-    ws: _Workspace,
+    ws: TargetWorkspace,
     survivors: list[VariableRef],
     conditioning: list[VariableRef],
     full_pool: list[VariableRef],
-    phase_offset: int = 0,
+    first_step: int,
 ) -> list[SelectedSource]:
     """Final per-variable p-values: re-run the max-statistic construction.
 
@@ -388,109 +390,68 @@ def _sequential_stats(
     original candidate pool minus the variables already assigned, mirroring
     the multiple-comparison structure of the selection loop.
     """
-    settings = ws.settings
     pool = sorted(full_pool, key=VariableRef.sort_key)
     unassigned = set(survivors)
     assigned: list[VariableRef] = []
     out: list[SelectedSource] = []
-    step = 0
     while unassigned:
-        pool_now = [v for v in pool if v not in assigned]
-        z = ws.columns(conditioning + assigned)
-        cols = ws.columns(pool_now)
-        observed = ws.estimator.candidates_cmi(cols, ws.y, z)
-        candidates = [i for i, v in enumerate(pool_now) if v in unassigned]
-        best = min(
-            candidates,
-            key=lambda i: (-observed[i], pool_now[i].process, pool_now[i].lag),
+        best, cmi, test = _max_step(
+            ws,
+            pool,
+            conditioning + assigned,
+            [i for i, v in enumerate(pool) if v in unassigned],
+            ws.policy(PHASE_SEQUENTIAL, first_step + len(assigned)),
+            ws.settings.n_perm_seq,
         )
-        test = max_statistic_test(
-            cols,
-            observed,
-            ws.y,
-            z,
-            ws.rep_ids,
-            ws.estimator,
-            ws.policy(PHASE_SEQUENTIAL, phase_offset + step),
-            settings.n_perm_seq,
-            settings.alpha_max,
-            observed_statistic=float(observed[best]),
-        )
-        variable = pool_now[best]
-        out.append(
-            SelectedSource(
-                variable=variable,
-                cmi_bits=float(observed[best]),
-                p_value=test.p_value,
-            )
-        )
+        variable = pool.pop(best)
+        out.append(SelectedSource(variable=variable, cmi_bits=cmi, p_value=test.p_value))
         assigned.append(variable)
         unassigned.remove(variable)
-        step += 1
     return out
 
 
-def select_target_past(
-    dataset: Dataset, target: int, settings: InferenceSettings
-) -> list[VariableRef]:
-    """Greedy self-embedding of the target; empty in MI modes."""
-    if not settings.is_te_mode:
-        return []
-    ws = _Workspace(dataset, target, settings)
+def select_target_past(ws: TargetWorkspace) -> list[VariableRef]:
+    """Greedy self-embedding of the target over ``ws.past_pool``."""
     return _greedy_select(ws, ws.past_pool, [], PHASE_TARGET_PAST)
 
 
 def select_sources(
-    dataset: Dataset,
-    target: int,
-    conditioning: list[VariableRef],
-    settings: InferenceSettings,
+    ws: TargetWorkspace, conditioning: list[VariableRef]
 ) -> list[VariableRef]:
     """Greedy source-variable selection given a fixed base conditioning set."""
-    if dataset.n_processes == 1 and not settings.is_te_mode:
-        return []
-    ws = _Workspace(dataset, target, settings)
-    return _select_sources_ws(ws, list(conditioning))
-
-
-def _select_sources_ws(
-    ws: _Workspace, conditioning: list[VariableRef]
-) -> list[VariableRef]:
-    if ws.settings.is_bivariate:
-        selected: list[VariableRef] = []
-        for p in sorted({v.process for v in ws.source_pool}):
-            pool_p = [v for v in ws.source_pool if v.process == p]
-            selected.extend(_greedy_select(ws, pool_p, conditioning, PHASE_SOURCES))
-        return selected
-    return _greedy_select(ws, ws.source_pool, conditioning, PHASE_SOURCES)
+    conditioning = list(conditioning)
+    selected: list[VariableRef] = []
+    for group in _groups(ws, ws.source_pool):
+        selected.extend(_greedy_select(ws, group, conditioning, PHASE_SOURCES))
+    return selected
 
 
 def prune(
-    dataset: Dataset,
-    target: int,
+    ws: TargetWorkspace,
     selected: list[VariableRef],
     conditioning: list[VariableRef],
-    settings: InferenceSettings,
 ) -> list[VariableRef]:
-    """Re-test a selected set and drop variables that fail the minimum statistic."""
-    if not selected:
-        return []
-    ws = _Workspace(dataset, target, settings)
-    return _prune_ws(ws, list(selected), list(conditioning))
-
-
-def _prune_ws(
-    ws: _Workspace, selected: list[VariableRef], conditioning: list[VariableRef]
-) -> list[VariableRef]:
-    if not selected:
-        return []
-    if ws.settings.is_bivariate:
-        survivors: list[VariableRef] = []
-        for p in sorted({v.process for v in selected}):
-            own = [v for v in selected if v.process == p]
-            survivors.extend(_prune(ws, own, conditioning))
-        return survivors
-    return _prune(ws, selected, conditioning)
+    """Drop the weakest selected variables until the minimum-statistic test holds."""
+    z = ws.columns(conditioning)
+    kept: list[VariableRef] = []
+    for group in _groups(ws, selected):
+        survivors = sorted(group, key=VariableRef.sort_key)
+        while survivors:
+            outcome = min_statistic_test(
+                ws.columns(survivors),
+                ws.y,
+                z,
+                ws.rep_ids,
+                ws.estimator,
+                ws.policy(PHASE_PRUNE, len(group) - len(survivors)),
+                ws.settings.n_perm_min,
+                ws.settings.alpha_min,
+            )
+            if outcome.result.significant:
+                break
+            survivors.pop(outcome.weakest)
+        kept.extend(survivors)
+    return kept
 
 
 def _trivial_target_result(target: int, settings: InferenceSettings) -> TargetResult:
@@ -509,14 +470,9 @@ def infer_target(dataset: Dataset, target: int, settings: InferenceSettings) -> 
     if dataset.n_processes == 1 and not settings.is_te_mode:
         # MI modes have no candidates at all without a second process.
         return _trivial_target_result(target, settings)
-    ws = _Workspace(dataset, target, settings)
-    past = (
-        _greedy_select(ws, ws.past_pool, [], PHASE_TARGET_PAST)
-        if settings.is_te_mode
-        else []
-    )
-    selected = _select_sources_ws(ws, past)
-    survivors = _prune_ws(ws, selected, past)
+    ws = TargetWorkspace(dataset, target, settings)
+    past = select_target_past(ws)
+    survivors = prune(ws, select_sources(ws, past), past)
     survivors = sorted(survivors, key=VariableRef.sort_key)
 
     omnibus = omnibus_test(
@@ -532,17 +488,11 @@ def infer_target(dataset: Dataset, target: int, settings: InferenceSettings) -> 
     if not omnibus.significant:
         survivors = []
 
+    # Step seeds continue across bivariate groups.
     sources: list[SelectedSource] = []
-    if survivors:
-        if settings.is_bivariate:
-            offset = 0
-            for p in sorted({v.process for v in survivors}):
-                own = [v for v in survivors if v.process == p]
-                pool_p = [v for v in ws.source_pool if v.process == p]
-                sources.extend(_sequential_stats(ws, own, past, pool_p, offset))
-                offset += len(own)
-        else:
-            sources = _sequential_stats(ws, survivors, past, ws.source_pool)
+    for group in _groups(ws, ws.source_pool):
+        own = [v for v in group if v in survivors]
+        sources.extend(_sequential_stats(ws, own, past, group, len(sources)))
 
     delays: dict[int, int] = {}
     for p in sorted({s.variable.process for s in sources}):

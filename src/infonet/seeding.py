@@ -19,7 +19,6 @@ PHASE_PRUNE = 3
 PHASE_OMNIBUS = 4
 PHASE_SEQUENTIAL = 5
 PHASE_NOISE = 6
-PHASE_STORAGE = 7
 PHASE_COMPARE = 8
 PHASE_GENERATE = 9
 

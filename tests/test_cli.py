@@ -200,6 +200,48 @@ class TestCompare:
         assert all(l["p_value"] == 1.0 for l in payload["links"])
         assert all(l["delta_bits"] == 0.0 for l in payload["links"])
 
+    def test_rep_column_replications(self, tmp_path, capsys):
+        # one headerless file per condition, replication ids in column 0
+        rng = np.random.default_rng(193)
+        inputs = {}
+        for name in ("a", "b"):
+            rows = []
+            for rep in range(4):
+                x = rng.normal(size=(300, 2))
+                x[2:, 1] += 0.8 * x[:-2, 0]
+                rows.extend(f"{rep},{u},{v}" for u, v in x)
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join(rows))
+            inputs[name] = str(path)
+        common = {
+            "replication_mode": "rep_column",
+            "seed": 14,
+            "n_perm_max": 50,
+            "n_perm_min": 50,
+            "n_perm_omnibus": 50,
+            "n_perm_seq": 50,
+        }
+        net_path = tmp_path / "net.json"
+        infer_cfg = tmp_path / "infer.json"
+        infer_cfg.write_text(json.dumps({"input": inputs["a"], **common}))
+        assert run_cli(["infer", "--config", str(infer_cfg), "--output", str(net_path)]) == 0
+        assert "2 processes (300 samples x 4 replications)" in capsys.readouterr().err
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "input_a": inputs["a"],
+                    "input_b": inputs["b"],
+                    "networks": [str(net_path)],
+                    "n_perm": 100,
+                    **common,
+                }
+            )
+        )
+        assert run_cli(["compare", "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [(l["source"], l["target"]) for l in payload["links"]] == [(0, 1)]
+
 
 class TestExport:
     def test_dot_and_csv(self, ring_files, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infonet import (
     DiscreteEstimator,
@@ -129,3 +131,41 @@ class TestAdapter:
         y = rng.integers(0, 2, size=(50, 1)).astype(float)
         est = DiscreteEstimator(alphabet_size=2)
         assert est.cmi_value(x, y, None) == est.cmi(x, y, None).value
+
+
+@st.composite
+def _symbol_blocks(draw):
+    """(x, y, z, alphabet, rng): dependent symbol columns over a small alphabet."""
+    a = draw(st.integers(2, 4))
+    dx, dy, dz = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    n = draw(st.integers(20, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.integers(0, a, size=(n, dx + dy + dz))
+    # copy a share of x's first column into y and z, so the parts depend
+    for j in range(dx, dx + dy + dz):
+        copied = rng.uniform(size=n) < 0.5
+        data[copied, j] = data[copied, 0]
+    return data[:, :dx], data[:, dx : dx + dy], data[:, dx + dy :], a, rng
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(_symbol_blocks())
+    def test_symmetric_in_x_and_y(self, blocks):
+        x, y, z, a, _ = blocks
+        assert abs(plugin_cmi(x, y, z, a).value - plugin_cmi(y, x, z, a).value) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_symbol_blocks())
+    def test_conditioning_order_invariance(self, blocks):
+        x, y, z, a, rng = blocks
+        shuffled = z[:, rng.permutation(z.shape[1])]
+        assert abs(plugin_cmi(x, y, shuffled, a).value - plugin_cmi(x, y, z, a).value) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_symbol_blocks())
+    def test_non_negative_and_locals_average_to_value(self, blocks):
+        x, y, z, a, _ = blocks
+        out = plugin_cmi(x, y, z, a)
+        assert out.value >= -1e-12
+        assert abs(np.mean(out.local) - out.value) <= 1e-12

@@ -9,7 +9,9 @@ from infonet import (
     Dataset,
     GroundTruthSpec,
     InferenceSettings,
+    TargetWorkspace,
     VariableRef,
+    ais_estimate,
     generate_dataset,
     infer_network,
     infer_target,
@@ -73,20 +75,22 @@ class TestTargetPast:
                 seed=1,
             )
         )
-        past = select_target_past(ds, 0, InferenceSettings(seed=2))
+        past = select_target_past(TargetWorkspace(ds, 0, InferenceSettings(seed=2)))
         assert VariableRef(0, 1) in past
 
     def test_white_noise_mostly_empty(self):
         hits = 0
         for seed in range(10):
             ds = _white_noise(1, 1500, 100 + seed)
-            past = select_target_past(ds, 0, InferenceSettings(seed=seed))
+            past = select_target_past(TargetWorkspace(ds, 0, InferenceSettings(seed=seed)))
             hits += bool(past)
         assert hits <= 3
 
     def test_mi_mode_skips(self):
         ds = _white_noise(2, 500, 3)
-        past = select_target_past(ds, 0, InferenceSettings(mode="multivariate_mi"))
+        ws = TargetWorkspace(ds, 0, InferenceSettings(mode="multivariate_mi"))
+        assert ws.past_pool == []
+        past = select_target_past(ws)
         assert past == []
 
     def test_period_two_binary_selects_and_recovers_one_bit(self):
@@ -95,7 +99,7 @@ class TestTargetPast:
         values = np.tile([0.0, 1.0], 300)[np.newaxis, :, np.newaxis]
         ds = Dataset(values=values, kind="discrete", alphabet_size=2)
         settings = InferenceSettings(estimator="discrete", seed=4)
-        past = select_target_past(ds, 0, settings)
+        past = select_target_past(TargetWorkspace(ds, 0, settings))
         assert VariableRef(0, 1) in past
         real = embed(ds, 0, past, max_lag=5)
         info = plugin_cmi(real.lagged, real.present, None)
@@ -114,7 +118,7 @@ class TestTargetPast:
             alphabet_size=2,
         )
         settings = InferenceSettings(estimator="discrete", seed=5)
-        past = select_target_past(ds, 0, settings)
+        past = select_target_past(TargetWorkspace(ds, 0, settings))
         assert VariableRef(0, 1) in past
 
 
@@ -123,15 +127,15 @@ class TestSourceSelection:
         hits = 0
         for seed in range(10):
             ds = _white_noise(2, 1200, 200 + seed)
-            selected = select_sources(ds, 1, [], InferenceSettings(seed=seed))
+            selected = select_sources(TargetWorkspace(ds, 1, InferenceSettings(seed=seed)), [])
             hits += bool(selected)
         assert hits <= 3
 
     def test_known_coupling_found(self):
         ds = _coupled(5, n=8000)
-        settings = InferenceSettings(seed=6)
-        past = select_target_past(ds, 1, settings)
-        selected = select_sources(ds, 1, past, settings)
+        ws = TargetWorkspace(ds, 1, InferenceSettings(seed=6))
+        past = select_target_past(ws)
+        selected = select_sources(ws, past)
         assert VariableRef(0, 2) in selected
 
     def test_redundant_duplicate_source(self):
@@ -152,24 +156,67 @@ class TestSourceSelection:
 class TestPrune:
     def test_empty_input(self):
         ds = _white_noise(2, 500, 9)
-        assert prune(ds, 1, [], [], InferenceSettings()) == []
+        assert prune(TargetWorkspace(ds, 1, InferenceSettings()), [], []) == []
 
     def test_genuine_source_survives(self):
         ds = _coupled(10, n=6000)
-        settings = InferenceSettings(seed=11)
-        survivors = prune(ds, 1, [VariableRef(0, 2)], [], settings)
+        ws = TargetWorkspace(ds, 1, InferenceSettings(seed=11))
+        survivors = prune(ws, [VariableRef(0, 2)], [])
         assert survivors == [VariableRef(0, 2)]
 
     def test_forced_noise_pruned(self):
         pruned_away = 0
         for seed in range(8):
             ds = _white_noise(2, 1000, 300 + seed)
-            survivors = prune(
-                ds, 1, [VariableRef(0, 1), VariableRef(0, 4)], [],
-                InferenceSettings(seed=seed),
-            )
+            ws = TargetWorkspace(ds, 1, InferenceSettings(seed=seed))
+            survivors = prune(ws, [VariableRef(0, 1), VariableRef(0, 4)], [])
             pruned_away += not survivors
         assert pruned_away >= 6
+
+
+class TestPublicSteps:
+    """infer_target and ais_estimate run the public steps on one workspace."""
+
+    _settings = dict(
+        seed=41, n_perm_max=50, n_perm_min=50, n_perm_omnibus=50, n_perm_seq=50,
+        max_lag_sources=3, max_lag_target=3,
+    )
+
+    @staticmethod
+    def _dataset():
+        topo = (Coupling(2, 2, 1, 0.4), Coupling(0, 2, 1, 0.5), Coupling(1, 2, 2, 0.4))
+        return generate_dataset(
+            GroundTruthSpec(n_processes=3, n_samples=1500, topology=topo, seed=40)
+        )
+
+    @pytest.mark.parametrize("mode", ["multivariate_te", "bivariate_te"])
+    def test_steps_reproduce_infer_target(self, mode):
+        ds = self._dataset()
+        settings = InferenceSettings(mode=mode, **self._settings)
+        ws = TargetWorkspace(ds, 2, settings)
+        past = select_target_past(ws)
+        pruned = prune(ws, select_sources(ws, past), past)
+        result = infer_target(ds, 2, settings)
+        assert tuple(past) == result.selected_target_past
+        if result.omnibus.significant:
+            chosen = [s.variable for s in result.selected_sources]
+            assert sorted(pruned, key=VariableRef.sort_key) == sorted(
+                chosen, key=VariableRef.sort_key
+            )
+        else:
+            assert result.selected_sources == ()
+        # both source processes survive, so the bivariate groups both ran
+        assert {v.process for v in pruned} == {0, 1}
+
+    @pytest.mark.parametrize("mode", ["multivariate_te", "multivariate_mi"])
+    def test_ais_embedding_is_the_target_past_step(self, mode):
+        ds = self._dataset()
+        settings = InferenceSettings(mode=mode, **self._settings)
+        ws = TargetWorkspace(ds, 2, settings, include_sources=False)
+        assert ws.source_pool == []
+        expected = sorted(select_target_past(ws), key=VariableRef.sort_key)
+        assert expected
+        assert ais_estimate(ds, 2, settings).selected_embedding == tuple(expected)
 
 
 class TestInferTarget:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infonet import KnnEstimator, KnnSettings, gaussian_cmi, knn_cmi, knn_mi
 from infonet.errors import EstimatorError
@@ -118,3 +120,36 @@ class TestAdapter:
         vals = est.cmi_surrogate_batch(batch, y, None)
         assert vals.shape == (2,)
         assert vals[0] == est.cmi_value(x, y, None)
+
+
+@st.composite
+def _continuous_blocks(draw):
+    """(x, y, z, rng): correlated continuous columns with no duplicate points."""
+    dx, dy, dz = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    d = dx + dy + dz
+    n = draw(st.integers(20, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixing = np.eye(d) + np.triu(rng.normal(scale=0.7, size=(d, d)), k=1)
+    data = rng.normal(size=(n, d)) @ mixing
+    return data[:, :dx], data[:, dx : dx + dy], data[:, dx + dy :], rng
+
+
+class TestProperties:
+    """Exact neighbor counts make these hold to rounding without jitter."""
+
+    _exact = KnnSettings(k=4, noise_amplitude=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_continuous_blocks())
+    def test_symmetric_in_x_and_y(self, blocks):
+        x, y, z, _ = blocks
+        forward = knn_cmi(x, y, z, self._exact).value
+        assert abs(forward - knn_cmi(y, x, z, self._exact).value) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_continuous_blocks())
+    def test_conditioning_order_invariance(self, blocks):
+        x, y, z, rng = blocks
+        shuffled = z[:, rng.permutation(z.shape[1])]
+        forward = knn_cmi(x, y, z, self._exact).value
+        assert abs(forward - knn_cmi(x, y, shuffled, self._exact).value) <= 1e-12
