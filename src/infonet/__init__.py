@@ -99,3 +99,25 @@ from .stats import (
 )
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "ComparisonResult", "ConfigError", "Coupling", "DataError", "Dataset",
+    "DegenerateTargetError", "DiscreteEstimator", "DuplicatePointsError",
+    "EmptyLinkSetError", "Estimator", "EstimatorError", "GaussianEstimator",
+    "GroundTruthSpec", "InferenceSettings", "InfoValue", "InfonetError",
+    "InsufficientPermutationsError", "InsufficientReplicationsError",
+    "InsufficientSamplesError", "InvalidValueError", "JointCounts",
+    "JointDistribution3", "KnnEstimator", "KnnSettings", "Link", "LinkComparison",
+    "LinkStructure", "NeighborIndex", "NetworkResult", "PidAtoms", "Realization",
+    "SelectedSource", "SingularCovarianceError", "StateSpaceTooLargeError",
+    "StatsError", "StorageResult", "SurrogatePolicy", "TargetResult", "TargetWorkspace",
+    "TestResult", "UnstableProcessError", "VariableRef", "ais_estimate",
+    "canonical_json", "companion_spectral_radius", "compare_networks",
+    "counts_from_columns", "embed", "fdr_correct", "gaussian_cmi", "gaussian_mi",
+    "generate_dataset", "ground_truth_links", "infer_network", "infer_target",
+    "knn_cmi", "knn_mi", "load_csv", "make_estimator", "max_statistic_test",
+    "min_statistic_test", "network_from_json", "network_to_dict", "network_to_json",
+    "normalize", "omnibus_test", "pid_from_data", "pid_williams_beer", "plugin_cmi",
+    "plugin_entropy", "prune", "save_csv", "select_sources", "select_target_past",
+    "to_csv_adjacency", "to_dot", "union_link_structures",
+]

@@ -36,8 +36,9 @@ class Estimator:
     Concrete estimators implement ``cmi`` (full result with locals) and may
     override ``cmi_value`` (scalar fast path). ``cmi_surrogate_batch`` evaluates the
     same conditional mutual information for a stack of replacement
-    first-argument columns; the default loops, the Gaussian estimator
-    vectorizes it.
+    first-argument columns, and ``group_cmis`` for many unions of
+    replication blocks; the defaults loop, the Gaussian estimator
+    vectorizes both.
 
     Contract of ``cmi_surrogate_batch``: members are row permutations of
     member 0 (the permutation tests gather every member from one column
@@ -59,6 +60,23 @@ class Estimator:
         out = np.empty(x_batch.shape[0], dtype=np.float64)
         for i in range(x_batch.shape[0]):
             out[i] = self.cmi_value(x_batch[i], y, z)
+        return out
+
+    def group_cmis(self, blocks, groups) -> np.ndarray:
+        """CMI of each group of (x, y, z) blocks, pooled in the order given.
+
+        ``blocks`` is a list of per-replication ``(x, y, z)`` arrays and each
+        entry of ``groups`` a sequence of block ids; returns one value per
+        group. The default concatenates a group's blocks in the given order
+        and calls ``cmi_value``. That order is kept because an estimator may
+        depend on it: kNN jitter is added row by row.
+        """
+        out = np.empty(len(groups), dtype=np.float64)
+        for g, members in enumerate(groups):
+            x, y, z = (
+                np.concatenate([blocks[i][k] for i in members], axis=0) for k in range(3)
+            )
+            out[g] = self.cmi_value(x, y, z)
         return out
 
     def candidates_cmi(self, columns: np.ndarray, y, z=None) -> np.ndarray:

@@ -14,10 +14,12 @@ so the value is exactly 0; a singular full joint with healthy sides means x
 and y are collinear given z and raises ``SingularCovarianceError``. A
 constant column is the common case of the second kind and gets 0 bits.
 
-Both entry points reduce to a stack of joint covariances of (x, y, z) and
-share one kernel: the batched form evaluates one conditional mutual
+Every entry point reduces to a stack of joint covariances of (x, y, z) and
+shares one kernel: the batched form evaluates one conditional mutual
 information for a stack of replacement first-argument columns, which is what
-the permutation tests need; a single value is a stack of one.
+the permutation tests need; the group form gives each member its own (y, z)
+block, which is what the replication exchange of a group comparison needs;
+a single value is a stack of one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ _NEGATIVE_SLACK = -1e-9
 # collinear data; genuine data would need a squared multiple correlation
 # above 1 - 1e-10 to fall below this share.
 _PIVOT_SHARE = 1e-10
+# See _column_means; far above the rounding error of any mean.
+_MEAN_ROUNDING = 1e-9
 
 
 def _factorize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -62,27 +66,56 @@ def _factorize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return factors, 2.0 * np.log(diags).sum(axis=1), singular
 
 
-def _cmi_stack(joint: np.ndarray, dx: int, dy: int):
-    """CMI(x_i; y | z) in bits for each (m, d, d) joint covariance of (x_i, y, z).
+def _column_means(data: np.ndarray) -> np.ndarray:
+    """Means over the row axis of an (..., n, d) array, shaped (..., 1, d).
 
-    Members differ only in their x rows and columns; the (y, z) block is
-    shared. Applies the module's degeneracy rule to each member. Returns the
-    values, a mask of the members that are 0 by that rule, and the
-    (factors, log-determinants) of the (x,z), (y,z), z and full blocks, or
-    None for the blocks when y is a linear function of z.
+    An exactly constant column gets its own value as mean, so that it centers
+    to exact zeros: the rounded mean of n copies of c need not equal c, and
+    the residue would leave a variance of order eps^2 that can pass the
+    pivot test and give a nonzero value. That rounded mean lies within about
+    log2(n) * eps * |c| of c, so only columns whose first value is that close
+    to the mean are checked row by row.
     """
-    m, d, _ = joint.shape
-    s_ff = joint[0, dx:, dx:]
-    f_z, ld_z, singular_z = _factorize(s_ff[np.newaxis, dy:, dy:])
-    if singular_z[0]:
+    mean = data.mean(axis=-2, keepdims=True)
+    first = data[..., :1, :]
+    suspect = np.abs(mean - first) <= _MEAN_ROUNDING * np.abs(first)
+    if suspect.any():
+        constant = suspect & (data == first).all(axis=-2, keepdims=True)
+        mean = np.where(constant, first, mean)
+    return mean
+
+
+def _cmi_stack(s_xx: np.ndarray, s_xf: np.ndarray, s_ff: np.ndarray, dy: int):
+    """CMI(x_i; y_i | z_i) in bits for each member of a stack of joint covariances.
+
+    ``s_xf`` is the (m, dx, dy+dz) stack of cross-covariances of x with
+    (y, z). ``s_xx`` and the (y, z) covariance ``s_ff`` are each either a
+    matching 3-D stack, one block per member, or one 2-D block shared by all
+    members; a shared (y, z) block is factorized once. Applies the module's
+    degeneracy rule to each member. Returns the values, a mask of the members
+    that are 0 by that rule, and the (factors, log-determinants) of the
+    (x,z), (y,z), z and full blocks, or None for the blocks when y is a
+    linear function of z in every member.
+    """
+    m, dx, df = s_xf.shape
+    d = dx + df
+    joint = np.empty((m, d, d))
+    joint[:, :dx, :dx] = s_xx
+    joint[:, :dx, dx:] = s_xf
+    joint[:, dx:, :dx] = np.transpose(s_xf, (0, 2, 1))
+    joint[:, dx:, dx:] = s_ff
+    s_ff = s_ff.reshape(-1, df, df)  # a shared block becomes a stack of one
+    f_z, ld_z, singular_z = _factorize(s_ff[:, dy:, dy:])
+    if singular_z.any():
         raise SingularCovarianceError(
-            f"conditioning covariance of dimension {d - dx - dy} is singular"
+            f"conditioning covariance of dimension {df - dy} is singular"
         )
-    f_yz, ld_yz, singular_yz = _factorize(s_ff[np.newaxis])
-    if singular_yz[0]:
+    f_yz, ld_yz, singular_yz = _factorize(s_ff)
+    if singular_yz.all():
         return np.zeros(m), np.ones(m, dtype=bool), None
     ixz = np.array([*range(dx), *range(dx + dy, d)])
-    f_xz, ld_xz, zero = _factorize(joint[:, ixz[:, np.newaxis], ixz])
+    f_xz, ld_xz, singular_xz = _factorize(joint[:, ixz[:, np.newaxis], ixz])
+    zero = singular_xz | singular_yz
     f_xyz, ld_xyz, singular = _factorize(joint)
     if (singular & ~zero).any():
         raise SingularCovarianceError(
@@ -133,10 +166,12 @@ def gaussian_cmi(x, y, z=None, with_local: bool = True) -> InfoValue:
     dx, dy, dz = x.shape[1], y.shape[1], z.shape[1]
     _check_samples(n, dx + dy + dz)
     data = np.concatenate([x, y, z], axis=1)
-    centered = data - data.mean(axis=0)
+    centered = data - _column_means(data)
     cov = centered.T @ centered / (n - 1)
 
-    values, zero, blocks = _cmi_stack(cov[np.newaxis], dx, dy)
+    values, zero, blocks = _cmi_stack(
+        cov[:dx, :dx], cov[np.newaxis, :dx, dx:], cov[dx:, dx:], dy
+    )
     value = float(values[0])
     if not with_local:
         return InfoValue(value=value)
@@ -163,29 +198,14 @@ def _as_batch(x_batch) -> np.ndarray:
     return x_batch[:, :, np.newaxis] if x_batch.ndim == 2 else x_batch
 
 
-def _centered_fixed(y, z, n: int, dx: int) -> tuple[np.ndarray, int]:
-    """The centered (y, z) columns shared by a batch, and the width of y."""
+def _centered_fixed(y, z, n: int, dx: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The centered (y, z) columns shared by a batch, their covariance and the width of y."""
     y = as_columns(y)
     z = as_columns(z) if z is not None and np.size(z) else np.empty((n, 0))
     _check_samples(n, dx + y.shape[1] + z.shape[1])
     fixed = np.concatenate([y, z], axis=1)
-    return fixed - fixed.mean(axis=0), y.shape[1]
-
-
-def _batch_cmi(s_xx: np.ndarray, s_xf: np.ndarray, fixed_c: np.ndarray, dy: int) -> np.ndarray:
-    """Assemble each member's joint covariance from its x blocks and run the kernel.
-
-    ``s_xf`` is the (m, dx, dy+dz) stack of cross-covariances; ``s_xx`` is
-    either a matching (m, dx, dx) stack or one (dx, dx) block shared by all.
-    """
-    m, dx, _ = s_xf.shape
-    d = dx + fixed_c.shape[1]
-    joint = np.empty((m, d, d))
-    joint[:, :dx, :dx] = s_xx
-    joint[:, :dx, dx:] = s_xf
-    joint[:, dx:, :dx] = np.transpose(s_xf, (0, 2, 1))
-    joint[:, dx:, dx:] = fixed_c.T @ fixed_c / (fixed_c.shape[0] - 1)
-    return _cmi_stack(joint, dx, dy)[0]
+    fixed_c = fixed - _column_means(fixed)
+    return fixed_c, fixed_c.T @ fixed_c / (n - 1), y.shape[1]
 
 
 def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None) -> np.ndarray:
@@ -197,11 +217,11 @@ def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None) -> np.ndarray:
     """
     x_batch = _as_batch(x_batch)
     m, n, dx = x_batch.shape
-    fixed_c, dy = _centered_fixed(y, z, n, dx)
-    xc = x_batch - x_batch.mean(axis=1, keepdims=True)
+    fixed_c, s_ff, dy = _centered_fixed(y, z, n, dx)
+    xc = x_batch - _column_means(x_batch)
     s_xf = np.einsum("mnd,nf->mdf", xc, fixed_c) / (n - 1)
     s_xx = np.einsum("mnd,mne->mde", xc, xc) / (n - 1)
-    return _batch_cmi(s_xx, s_xf, fixed_c, dy)
+    return _cmi_stack(s_xx, s_xf, s_ff, dy)[0]
 
 
 class GaussianEstimator(Estimator):
@@ -225,14 +245,52 @@ class GaussianEstimator(Estimator):
         """
         x_batch = _as_batch(x_batch)
         m, n, dx = x_batch.shape
-        fixed_c, dy = _centered_fixed(y, z, n, dx)
-        mean = x_batch[0].mean(axis=0)
-        xc = np.subtract(x_batch.transpose(0, 2, 1), mean[:, np.newaxis], order="C")
+        fixed_c, s_ff, dy = _centered_fixed(y, z, n, dx)
+        mean = _column_means(x_batch[0])
+        xc = np.subtract(x_batch.transpose(0, 2, 1), mean.T, order="C")
         s_xf = (xc.reshape(m * dx, n) @ fixed_c).reshape(m, dx, -1) / (n - 1)
-        return _batch_cmi(xc[0] @ xc[0].T / (n - 1), s_xf, fixed_c, dy)
+        return _cmi_stack(xc[0] @ xc[0].T / (n - 1), s_xf, s_ff, dy)[0]
 
     def candidates_cmi(self, columns, y, z=None) -> np.ndarray:
         columns = np.atleast_2d(np.asarray(columns, dtype=np.float64))
         if columns.shape[1] == 0:
             return np.zeros(0)
         return gaussian_cmi_batch(columns.T[:, :, np.newaxis], y, z)
+
+    def group_cmis(self, blocks, groups) -> np.ndarray:
+        """Group CMIs from per-block moments, every group in one kernel call.
+
+        All blocks are centered once on their pooled mean and reduced to a
+        row count, column sums and a cross-product. The covariance of any
+        union of blocks follows exactly from the sums of its members' moments
+        (Chan, Golub & LeVeque 1983), so one product with a 0/1 membership
+        matrix gives every group's covariance. Values match the
+        concatenating default to rounding; the order of a group's blocks
+        does not matter here.
+        """
+        parts = [[as_columns(a) for a in block] for block in blocks]
+        dx, dy = parts[0][0].shape[1], parts[0][1].shape[1]
+        rows = np.concatenate([np.concatenate(block, axis=1) for block in parts])
+        centered = rows - _column_means(rows)
+        d = centered.shape[1]
+        starts = np.cumsum([len(block[0]) for block in parts])[:-1]
+        moments = np.stack(
+            [
+                np.concatenate([[len(c)], c.sum(axis=0), (c.T @ c).ravel()])
+                for c in np.split(centered, starts)
+            ]
+        )
+        n_groups, n_blocks = len(groups), len(blocks)
+        cells = np.repeat(np.arange(n_groups) * n_blocks, [len(g) for g in groups])
+        cells += np.concatenate(groups).astype(np.intp)
+        membership = np.bincount(cells, minlength=n_groups * n_blocks).reshape(n_groups, -1)
+        grouped = membership.astype(np.float64) @ moments
+        n = grouped[:, 0]
+        short = n < d + 2
+        if short.any():
+            _check_samples(int(n[short.argmax()]), d)
+        count = n[:, np.newaxis, np.newaxis]
+        sums = grouped[:, 1 : d + 1, np.newaxis]
+        products = grouped[:, d + 1 :].reshape(-1, d, d)
+        cov = (products - sums * sums.transpose(0, 2, 1) / count) / (count - 1)
+        return _cmi_stack(cov[:, :dx, :dx], cov[:, :dx, dx:], cov[:, dx:, dx:], dy)[0]

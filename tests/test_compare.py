@@ -5,6 +5,7 @@ import pytest
 
 from infonet import (
     Coupling,
+    Dataset,
     EmptyLinkSetError,
     GroundTruthSpec,
     InferenceSettings,
@@ -103,6 +104,48 @@ class TestCompare:
         )
         with pytest.raises(DataError):
             compare_networks(a, b, [bad], InferenceSettings())
+
+
+def _binary_condition(flip_rate, seed, n_rep=6, n=120):
+    """Process 1 copies process 0 at lag 2, each copy flipped at ``flip_rate``."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2, size=(2, n, n_rep)).astype(float)
+    flip = rng.random((n - 2, n_rep)) < flip_rate
+    values[1, 2:] = np.where(flip, 1 - values[0, :-2], values[0, :-2])
+    return Dataset(values=values, kind="discrete", alphabet_size=2)
+
+
+class TestPinnedOutput:
+    """kNN and plug-in comparisons pool each group's replications in order.
+
+    The expected values were produced by concatenating the blocks of every
+    group in order and calling ``cmi_value`` once per group.
+    """
+
+    def _single_link(self, data_a, data_b, estimator):
+        settings = InferenceSettings(estimator=estimator, seed=3)
+        link = compare_networks(data_a, data_b, [_link()], settings, n_perm=40, seed=4).links[0]
+        return link.statistic_a, link.statistic_b, link.delta_bits, link.p_value
+
+    def test_knn(self):
+        data_a = _condition(0.5, seed=11, n_rep=6, n=100)
+        data_b = _condition(0.4, seed=12, n_rep=6, n=100)
+        assert self._single_link(data_a, data_b, "knn") == (
+            0.14427515141463487,
+            0.09953773608184871,
+            0.04473741533278616,
+            0.43902439024390244,
+        )
+
+    def test_discrete(self):
+        data_a = _binary_condition(0.35, seed=21)
+        data_b = _binary_condition(0.3, seed=22)
+        assert self._single_link(data_a, data_b, "discrete") == (
+            0.08591860288814314,
+            0.11729716324269665,
+            -0.03137856035455351,
+            0.12195121951219512,
+        )
 
 
 class TestUnionStructure:

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infonet import (
+    Estimator,
     EstimatorError,
     GaussianEstimator,
+    InsufficientSamplesError,
     SingularCovarianceError,
     gaussian_cmi,
     gaussian_mi,
@@ -236,6 +238,35 @@ class TestDegeneracyRule:
             assert abs(batch[i] - single) <= 1e-12
 
 
+def _constant_column_cases():
+    """A constant x whose mean does not round back to its value."""
+    n = 300
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=n)
+    z = rng.normal(size=(n, 2))
+    single = [(np.full((n, 1), 3.7), y[:, np.newaxis], z)]
+    rng = np.random.default_rng(0)
+    blocks = [
+        (np.full((50, 1), 0.1), rng.normal(size=(50, 1)), rng.normal(size=(50, 2)))
+        for _ in range(3)
+    ]
+    return [single, blocks]
+
+
+class TestConstantColumn:
+    """Centering maps an exactly constant column to zeros on every path."""
+
+    @pytest.mark.parametrize("blocks", _constant_column_cases())
+    def test_exactly_zero_on_every_path(self, blocks):
+        x, y, z = (np.concatenate([b[k] for b in blocks]) for k in range(3))
+        estimator = GaussianEstimator()
+        assert gaussian_cmi(x, y, z).value == 0.0
+        assert gaussian_cmi(y, x, z).value == 0.0
+        assert gaussian_cmi_batch(x[np.newaxis], y, z)[0] == 0.0
+        assert estimator.cmi_surrogate_batch(np.stack([x, x]), y, z).tolist() == [0.0, 0.0]
+        assert estimator.group_cmis(blocks, [range(len(blocks))])[0] == 0.0
+
+
 @st.composite
 def _gaussian_blocks(draw):
     """(x, y, z) with random widths and correlations, well above the sample floor."""
@@ -328,3 +359,73 @@ class TestSurrogateBatch:
             GaussianEstimator().cmi_surrogate_batch(x_batch, y, z)
         with pytest.raises(SingularCovarianceError):
             gaussian_cmi_batch(x_batch, y, z)
+
+
+@st.composite
+def _replication_groups(draw):
+    """Per-replication (x, y, z) blocks and groups of block ids of unequal sizes."""
+    dx, dz = draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 3))
+    d = dx + 1 + dz
+    n_blocks = draw(st.integers(2, 8))
+    lengths = [draw(st.integers(8, 60)) for _ in range(n_blocks)]
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixing = np.eye(d) + np.triu(rng.normal(scale=0.7, size=(d, d)), k=1)
+    blocks = []
+    for length in lengths:
+        data = rng.normal(size=(length, d)) @ mixing + offset
+        blocks.append((data[:, :dx], data[:, dx : dx + 1], data[:, dx + 1 :]))
+    # At least two blocks of at least 8 rows keep every group above d + 2 rows.
+    sizes = [draw(st.integers(2, n_blocks)) for _ in range(draw(st.integers(1, 5)))]
+    groups = [rng.permutation(n_blocks)[:size] for size in sizes]
+    return blocks, groups
+
+
+def _coupled_blocks(lengths, offset=0.0):
+    """Per-replication (x, y, z) blocks of one coupled Gaussian system."""
+    rng = np.random.default_rng(8)
+    n = sum(lengths)
+    z = rng.normal(size=(n, 2))
+    x = rng.normal(size=(n, 2)) + 0.4 * z[:, :1]
+    y = rng.normal(size=(n, 1)) + 0.6 * x[:, :1]
+    starts = np.cumsum(lengths)[:-1]
+    return list(zip(*(np.split(a, starts) for a in (x + offset, y, z))))
+
+
+class TestGroupCmis:
+    """Group values from per-block moments equal the concatenating default."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_replication_groups())
+    def test_equals_concatenating_default(self, case):
+        blocks, groups = case
+        estimator = GaussianEstimator()
+        moments = estimator.group_cmis(blocks, groups)
+        default = Estimator.group_cmis(estimator, blocks, groups)
+        assert np.max(np.abs(moments - default)) <= 1e-12
+
+    def test_identical_conditions_give_exactly_equal_values(self):
+        blocks = _coupled_blocks([20, 35, 27], offset=1e3) * 2
+        values = GaussianEstimator().group_cmis(blocks, [range(3), range(3, 6)])
+        assert values[0] > 0.1
+        assert values[0] - values[1] == 0.0
+
+    @staticmethod
+    def _both_paths():
+        estimator = GaussianEstimator()
+        return estimator.group_cmis, lambda *args: Estimator.group_cmis(estimator, *args)
+
+    def test_singular_z_raises_on_both_paths(self):
+        blocks = [
+            (x, y, np.column_stack([z[:, 0], 3.0 * z[:, 0]]))
+            for x, y, z in _coupled_blocks([50, 50, 100])
+        ]
+        for group_cmis in self._both_paths():
+            with pytest.raises(SingularCovarianceError):
+                group_cmis(blocks, [[0, 1], [2]])
+
+    def test_short_group_raises_on_both_paths(self):
+        blocks = _coupled_blocks([4, 100, 96])
+        for group_cmis in self._both_paths():
+            with pytest.raises(InsufficientSamplesError):
+                group_cmis(blocks, [[1, 2], [0]])
