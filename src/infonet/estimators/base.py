@@ -1,10 +1,18 @@
-"""Shared estimator surface: the InfoValue result and the batch protocol."""
+"""Shared estimator surface: the InfoValue result, the surrogate batch and the
+batch protocol."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..errors import StatsError
+
+CIRCULAR_SHIFT = "circular_shift"
+REPLICATION_SHUFFLE = "replication_shuffle"
+
+SURROGATE_METHODS = (CIRCULAR_SHIFT, REPLICATION_SHUFFLE)
 
 
 @dataclass(frozen=True)
@@ -30,6 +38,47 @@ def as_columns(x) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True)
+class SurrogateBatch:
+    """The surrogate draws of one permutation test for one (n, d) column block.
+
+    Row ``i`` of the (draws, n) ``index_matrix`` gathers draw ``i`` from
+    ``columns``. ``blocks`` are the (start, stop) rows of the replications,
+    and each draw either rotates every block right by its own offset
+    (``CIRCULAR_SHIFT``) or reorders whole equal-length blocks
+    (``REPLICATION_SHUFFLE``). Every draw is therefore a row permutation of
+    ``columns``, and its structure can be read off the block-start columns of
+    the index matrix without gathering any rows.
+    """
+
+    columns: np.ndarray
+    index_matrix: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
+    method: str
+
+    def __post_init__(self):
+        if self.method not in SURROGATE_METHODS:
+            raise StatsError(f"unknown surrogate method {self.method!r}")
+
+    def __len__(self) -> int:
+        return self.index_matrix.shape[0]
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.columns[self.index_matrix[i]]
+
+    def _starts(self) -> np.ndarray:
+        return self.index_matrix[:, [start for start, _ in self.blocks]]
+
+    def rotations(self) -> np.ndarray:
+        """(draws, blocks) right rotation of each block: its first row came from stop - r."""
+        return np.array([stop for _, stop in self.blocks]) - self._starts()
+
+    def block_orders(self) -> np.ndarray:
+        """(draws, blocks) source block of each block under a replication shuffle."""
+        start, stop = self.blocks[0]
+        return self._starts() // (stop - start)
+
+
 class Estimator:
     """Common driver interface used by inference and the permutation tests.
 
@@ -40,12 +89,11 @@ class Estimator:
     replication blocks; the defaults loop, the Gaussian estimator
     vectorizes both.
 
-    Contract of ``cmi_surrogate_batch``: members are row permutations of
-    member 0 (the permutation tests gather every member from one column
-    block with one circular shift or replication shuffle per draw). An
-    implementation may rely on it, as the Gaussian one does by taking the
-    mean and covariance of x from member 0; the default loop and the kNN
-    estimator do not.
+    ``cmi_surrogate_batch`` takes a :class:`SurrogateBatch`, the draws of one
+    permutation test for one column block, and returns one value per draw.
+    The default gathers the draws one at a time and calls ``cmi_value``, so
+    it equals the scalar path exactly. An override may use the structure of
+    the draws instead: the Gaussian one never gathers rows.
     """
 
     name = "base"
@@ -56,9 +104,9 @@ class Estimator:
     def cmi_value(self, x, y, z=None) -> float:
         return self.cmi(x, y, z).value
 
-    def cmi_surrogate_batch(self, x_batch: np.ndarray, y, z=None) -> np.ndarray:
-        out = np.empty(x_batch.shape[0], dtype=np.float64)
-        for i in range(x_batch.shape[0]):
+    def cmi_surrogate_batch(self, x_batch: SurrogateBatch, y, z=None) -> np.ndarray:
+        out = np.empty(len(x_batch), dtype=np.float64)
+        for i in range(len(x_batch)):
             out[i] = self.cmi_value(x_batch[i], y, z)
         return out
 

@@ -16,10 +16,13 @@ constant column is the common case of the second kind and gets 0 bits.
 
 Every entry point reduces to a stack of joint covariances of (x, y, z) and
 shares one kernel: the batched form evaluates one conditional mutual
-information for a stack of replacement first-argument columns, which is what
-the permutation tests need; the group form gives each member its own (y, z)
+information for a stack of replacement first-argument columns; the surrogate
+form does the same for the draws of a permutation test, which share x's
+moments and differ only in their cross-covariance with (y, z), computed
+without gathering rows; the group form gives each member its own (y, z)
 block, which is what the replication exchange of a group comparison needs;
-a single value is a stack of one.
+a single value is a stack of one. Second moments suffice because Gaussian
+transfer entropy is Granger causality (Barnett, Barrett & Seth 2009).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ..errors import EstimatorError, InsufficientSamplesError, SingularCovarianceError
-from .base import Estimator, InfoValue, as_columns
+from .base import CIRCULAR_SHIFT, Estimator, InfoValue, SurrogateBatch, as_columns
 
 _LN2 = math.log(2.0)
 _NEGATIVE_SLACK = -1e-9
@@ -224,6 +227,41 @@ def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None) -> np.ndarray:
     return _cmi_stack(s_xx, s_xf, s_ff, dy)[0]
 
 
+def _shifted_cross(xc, fixed_c, blocks, rotations) -> np.ndarray:
+    """Cross-products x'F of every circular-shift draw, shaped (draws, dx, df).
+
+    A block rotated right by r pairs x row j with F row (j + r) mod length, so
+    the block's cross-product at every r is the circular cross-correlation
+    irfft(conj(rfft(x)) rfft(F)); each draw sums its blocks' values at their
+    rotations.
+    """
+    out = np.zeros((len(rotations), xc.shape[1], fixed_c.shape[1]))
+    for b, (start, stop) in enumerate(blocks):
+        spec_x = np.fft.rfft(xc[start:stop], axis=0).conj()
+        spec_f = np.fft.rfft(fixed_c[start:stop], axis=0)
+        lags = np.fft.irfft(
+            spec_x[:, :, np.newaxis] * spec_f[:, np.newaxis, :], n=stop - start, axis=0
+        )
+        out += lags[rotations[:, b]]
+    return out
+
+
+def _shuffled_cross(xc, fixed_c, n_blocks: int, orders) -> np.ndarray:
+    """Cross-products x'F of every replication-shuffle draw, shaped (draws, dx, df).
+
+    A draw puts x block orders[b] against F block b. For each target block b
+    one product gives the inner products of every x block with F_b, so the
+    (blocks, blocks, dx, df) tensor of all pairs is never held at once.
+    """
+    dx, df = xc.shape[1], fixed_c.shape[1]
+    x_rows = xc.reshape(n_blocks, -1, dx).transpose(0, 2, 1).reshape(n_blocks * dx, -1)
+    f_blocks = fixed_c.reshape(n_blocks, -1, df)
+    out = np.zeros((len(orders), dx, df))
+    for b in range(n_blocks):
+        out += (x_rows @ f_blocks[b]).reshape(n_blocks, dx, df)[orders[:, b]]
+    return out
+
+
 class GaussianEstimator(Estimator):
     """Adapter exposing the linear-Gaussian estimator behind the common API."""
 
@@ -235,21 +273,26 @@ class GaussianEstimator(Estimator):
     def cmi_value(self, x, y, z=None) -> float:
         return gaussian_cmi(x, y, z, with_local=False).value
 
-    def cmi_surrogate_batch(self, x_batch, y, z=None) -> np.ndarray:
-        """Surrogate CMIs that recompute only the cross-covariance with (y, z).
+    def cmi_surrogate_batch(self, x_batch: SurrogateBatch, y, z=None) -> np.ndarray:
+        """Surrogate CMIs from cross-covariances alone, with no gathered rows.
 
-        Members are row permutations of member 0, so they share its mean and
-        covariance. Each member is centered on that mean while it is laid
-        out as (dx, n) rows, and one matrix product gives every member's
-        cross-covariance. Values match :func:`gaussian_cmi_batch` to rounding.
+        Every draw is a row permutation of the column block, so all draws
+        share its mean and covariance and differ only in their
+        cross-covariance with (y, z): circular shifts take it from one FFT
+        cross-correlation per replication block, replication shuffles from
+        inner products of whole blocks. One kernel call covers every draw.
+        Values match :func:`gaussian_cmi_batch` on the gathered draws to
+        rounding.
         """
-        x_batch = _as_batch(x_batch)
-        m, n, dx = x_batch.shape
+        columns = as_columns(x_batch.columns)
+        n, dx = columns.shape
         fixed_c, s_ff, dy = _centered_fixed(y, z, n, dx)
-        mean = _column_means(x_batch[0])
-        xc = np.subtract(x_batch.transpose(0, 2, 1), mean.T, order="C")
-        s_xf = (xc.reshape(m * dx, n) @ fixed_c).reshape(m, dx, -1) / (n - 1)
-        return _cmi_stack(xc[0] @ xc[0].T / (n - 1), s_xf, s_ff, dy)[0]
+        xc = columns - _column_means(columns)
+        if x_batch.method == CIRCULAR_SHIFT:
+            s_xf = _shifted_cross(xc, fixed_c, x_batch.blocks, x_batch.rotations())
+        else:
+            s_xf = _shuffled_cross(xc, fixed_c, len(x_batch.blocks), x_batch.block_orders())
+        return _cmi_stack(xc.T @ xc / (n - 1), s_xf / (n - 1), s_ff, dy)[0]
 
     def candidates_cmi(self, columns, y, z=None) -> np.ndarray:
         columns = np.atleast_2d(np.asarray(columns, dtype=np.float64))

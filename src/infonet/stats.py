@@ -2,7 +2,8 @@
 
 Every p-value uses the count formula (c + 1) / (n_permutations + 1) with ties
 counted as exceedances, so p is never zero and the tests stay valid under the
-null. Surrogates are deterministic functions of (policy seed, draw index):
+null; a non-finite statistic or null value raises instead of counting as a
+miss. Surrogates are deterministic functions of (policy seed, draw index):
 within one permutation draw, every column shares the same per-replication
 offsets, which keeps results independent of evaluation order and makes the
 joint (omnibus) surrogation a special case of the same machinery.
@@ -10,14 +11,18 @@ joint (omnibus) surrogation a special case of the same machinery.
 A test builds its surrogates once, as an (n_permutations, n) index matrix:
 the replication blocks of its rows are derived once, then each draw makes its
 own generator and offsets (a replication shuffle reorders whole rows of the
-(blocks, length) grid). Every surrogate is therefore a row permutation of the
-column block it gathers from, which is the contract of
-``Estimator.cmi_surrogate_batch``.
+(blocks, length) grid). Each candidate column, or the omnibus's joint block,
+then goes to the estimator as one :class:`SurrogateBatch` holding that column
+block, the index matrix, the blocks and the method, with every draw in one
+``Estimator.cmi_surrogate_batch`` call. The default estimator gathers one
+draw at a time; the Gaussian one computes every draw's cross-covariance
+without gathering rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,13 +32,14 @@ from .errors import (
     InsufficientSamplesError,
     StatsError,
 )
-from .estimators.base import Estimator
+from .estimators.base import (
+    CIRCULAR_SHIFT,
+    REPLICATION_SHUFFLE,
+    SURROGATE_METHODS,
+    Estimator,
+    SurrogateBatch,
+)
 from .seeding import rng_for
-
-CIRCULAR_SHIFT = "circular_shift"
-REPLICATION_SHUFFLE = "replication_shuffle"
-
-_METHODS = (CIRCULAR_SHIFT, REPLICATION_SHUFFLE)
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class SurrogatePolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        if self.method not in SURROGATE_METHODS:
             raise StatsError(f"unknown surrogate method {self.method!r}")
         if self.min_shift < 1:
             raise StatsError("min_shift must be >= 1")
@@ -133,35 +139,29 @@ def check_permutation_count(n_perm: int, alpha: float) -> None:
 
 
 def permutation_pvalue(observed: float, null_values: np.ndarray) -> float:
-    """(c + 1) / (n + 1) with c the number of null values >= observed."""
-    null_values = np.asarray(null_values)
+    """(c + 1) / (n + 1) with c the number of null values >= observed.
+
+    A NaN or infinite statistic or null value raises ``StatsError``: a NaN
+    compares False, so it would otherwise count as a miss and push p down.
+    """
+    null_values = np.asarray(null_values, dtype=np.float64)
+    if not np.isfinite(observed):
+        raise StatsError(f"observed statistic is {observed}, not finite")
+    bad = null_values[~np.isfinite(null_values)]
+    if bad.size:
+        raise StatsError(f"{bad.size} null values are not finite, such as {bad[0]}")
     c = int(np.sum(null_values >= observed))
     return (c + 1) / (null_values.size + 1)
 
 
-def _surrogate_cmis(
-    columns: np.ndarray,
-    index_matrix: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray | None,
-    estimator: Estimator,
-) -> np.ndarray:
-    """CMI of each surrogate of an (n, d) column block against fixed (y, z).
-
-    All d columns share each draw's gather indices. One estimator call
-    gathers at most 200 * n cells: a single column's 200 draws (the default
-    permutation count of the max and min tests) in one call, and bounded
-    memory for any block width. At 256 * n cells, peak RSS of perfbench's
-    gauss_net workload (2 threads, 2-vCPU VM) rose from about 97 to 112 MB.
-    """
-    n_perm = index_matrix.shape[0]
-    step = max(1, 200 // columns.shape[1])
-    out = np.empty(n_perm, dtype=np.float64)
-    for start in range(0, n_perm, step):
-        idx = index_matrix[start : start + step]
-        batch = np.take(columns, idx, axis=0)  # (draws, n, d)
-        out[start : start + idx.shape[0]] = estimator.cmi_surrogate_batch(batch, y, z)
-    return out
+def _surrogate_batches(rep_ids: np.ndarray, policy: SurrogatePolicy, n_perm: int):
+    """A test's draws, built once: maps a column block to its :class:`SurrogateBatch`."""
+    return partial(
+        SurrogateBatch,
+        index_matrix=surrogate_index_matrix(rep_ids, policy, n_perm),
+        blocks=tuple(replication_blocks(rep_ids)),
+        method=policy.method,
+    )
 
 
 def max_statistic_test(
@@ -188,10 +188,10 @@ def max_statistic_test(
     if candidate_columns.shape[1] != observed_cmis.size or observed_cmis.size == 0:
         raise StatsError("need one observed CMI per candidate column")
     check_permutation_count(n_perm, alpha)
-    index_matrix = surrogate_index_matrix(rep_ids, policy, n_perm)
+    surrogates = _surrogate_batches(rep_ids, policy, n_perm)
     null_max = np.full(n_perm, -np.inf)
     for j in range(candidate_columns.shape[1]):
-        vals = _surrogate_cmis(candidate_columns[:, j : j + 1], index_matrix, y, z, estimator)
+        vals = estimator.cmi_surrogate_batch(surrogates(candidate_columns[:, j : j + 1]), y, z)
         np.maximum(null_max, vals, out=null_max)
     statistic = (
         float(observed_cmis.max()) if observed_statistic is None else float(observed_statistic)
@@ -239,12 +239,11 @@ def min_statistic_test(
         ]
     )
     weakest = int(np.argmin(observed))
-    index_matrix = surrogate_index_matrix(rep_ids, policy, n_perm)
+    surrogates = _surrogate_batches(rep_ids, policy, n_perm)
     null_min = np.full(n_perm, np.inf)
     for j in range(m):
-        vals = _surrogate_cmis(
-            selected_columns[:, j : j + 1], index_matrix, y, conditioning(j), estimator
-        )
+        batch = surrogates(selected_columns[:, j : j + 1])
+        vals = estimator.cmi_surrogate_batch(batch, y, conditioning(j))
         np.minimum(null_min, vals, out=null_min)
     p = permutation_pvalue(float(observed[weakest]), null_min)
     result = TestResult(float(observed[weakest]), p, p < alpha, n_perm, alpha)
@@ -274,8 +273,8 @@ def omnibus_test(
         return TestResult(0.0, 1.0, False, n_perm, alpha)
     check_permutation_count(n_perm, alpha)
     observed = estimator.cmi_value(source_columns, y, z)
-    index_matrix = surrogate_index_matrix(rep_ids, policy, n_perm)
-    null = _surrogate_cmis(source_columns, index_matrix, y, z, estimator)
+    batch = _surrogate_batches(rep_ids, policy, n_perm)(source_columns)
+    null = estimator.cmi_surrogate_batch(batch, y, z)
     p = permutation_pvalue(observed, null)
     return TestResult(float(observed), p, p < alpha, n_perm, alpha)
 
@@ -290,8 +289,9 @@ def fdr_correct(p_values, alpha: float = 0.05, m: int | None = None) -> np.ndarr
     p = np.asarray(p_values, dtype=np.float64)
     if p.size == 0:
         return np.zeros(0, dtype=bool)
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise StatsError("p-values must lie in [0, 1]")
+    bad = p[~((p >= 0.0) & (p <= 1.0))]
+    if bad.size:
+        raise StatsError(f"p-values must lie in [0, 1], got {bad[0]}")
     if m is None:
         m = p.size
     if m < p.size:

@@ -14,12 +14,15 @@ from infonet import (
     gaussian_cmi,
     gaussian_mi,
 )
+from infonet.estimators.base import SurrogateBatch
 from infonet.estimators.gaussian import gaussian_cmi_batch
 from infonet.stats import (
     CIRCULAR_SHIFT,
     REPLICATION_SHUFFLE,
     SurrogatePolicy,
+    replication_blocks,
     surrogate_index_matrix,
+    surrogate_indices,
 )
 
 
@@ -253,6 +256,16 @@ def _constant_column_cases():
     return [single, blocks]
 
 
+def _surrogate_batch(x, rep_ids, policy, n_perm):
+    """The draws of one permutation test for x, as the tests build them."""
+    index = surrogate_index_matrix(rep_ids, policy, n_perm)
+    return SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)
+
+
+def _gathered(batch):
+    return np.stack([batch[i] for i in range(len(batch))])
+
+
 class TestConstantColumn:
     """Centering maps an exactly constant column to zeros on every path."""
 
@@ -263,7 +276,11 @@ class TestConstantColumn:
         assert gaussian_cmi(x, y, z).value == 0.0
         assert gaussian_cmi(y, x, z).value == 0.0
         assert gaussian_cmi_batch(x[np.newaxis], y, z)[0] == 0.0
-        assert estimator.cmi_surrogate_batch(np.stack([x, x]), y, z).tolist() == [0.0, 0.0]
+        rep_ids = np.repeat(np.arange(len(blocks)), [len(b[0]) for b in blocks])
+        methods = [CIRCULAR_SHIFT] + ([REPLICATION_SHUFFLE] if len(blocks) > 1 else [])
+        for method in methods:
+            batch = _surrogate_batch(x, rep_ids, SurrogatePolicy(method, seed=1), 2)
+            assert estimator.cmi_surrogate_batch(batch, y, z).tolist() == [0.0, 0.0]
         assert estimator.group_cmis(blocks, [range(len(blocks))])[0] == 0.0
 
 
@@ -315,8 +332,8 @@ class TestProperties:
 
 
 @st.composite
-def _surrogate_stacks(draw):
-    """(x surrogates, y, z) gathered as the permutation tests gather them."""
+def _surrogate_cases(draw):
+    """(surrogate batch, policy, y, z) as the permutation tests build them."""
     dx, dy, dz = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 4))
     method = draw(st.sampled_from([CIRCULAR_SHIFT, REPLICATION_SHUFFLE]))
     n_reps = draw(st.integers(1 if method == CIRCULAR_SHIFT else 2, 4))
@@ -329,36 +346,68 @@ def _surrogate_stacks(draw):
     min_shift, seed = draw(st.integers(1, 5)), draw(st.integers(0, 999))
     policy = SurrogatePolicy(method, min_shift=min_shift, seed=seed)
     rep_ids = np.repeat(np.arange(n_reps), length)
-    index = surrogate_index_matrix(rep_ids, policy, draw(st.integers(1, 30)))
-    return np.take(x, index, axis=0), data[:, dx : dx + dy], data[:, dx + dy :]
+    batch = _surrogate_batch(x, rep_ids, policy, draw(st.integers(1, 30)))
+    return batch, policy, data[:, dx : dx + dy], data[:, dx + dy :]
+
+
+def _regenerated_index(batch):
+    """The index matrix rebuilt from the batch's rotations or block orders alone."""
+    if batch.method == CIRCULAR_SHIFT:
+        def rotated(rotation):
+            return np.concatenate(
+                [
+                    start + (np.arange(stop - start) - r) % (stop - start)
+                    for (start, stop), r in zip(batch.blocks, rotation)
+                ]
+            )
+
+        return np.stack([rotated(rotation) for rotation in batch.rotations()])
+    grid = np.arange(batch.blocks[-1][1]).reshape(len(batch.blocks), -1)
+    return np.stack([grid[order].ravel() for order in batch.block_orders()])
 
 
 class TestSurrogateBatch:
-    """The cross-covariance surrogate path equals the general batch."""
+    """The gather-free surrogate path equals the general batch on gathered draws."""
 
     @settings(max_examples=60, deadline=None)
-    @given(_surrogate_stacks())
-    def test_equals_general_batch(self, stack):
-        x_batch, y, z = stack
-        fast = GaussianEstimator().cmi_surrogate_batch(x_batch, y, z)
-        assert np.max(np.abs(fast - gaussian_cmi_batch(x_batch, y, z))) <= 1e-12
+    @given(_surrogate_cases())
+    def test_equals_general_batch(self, case):
+        batch, policy, y, z = case
+        for i in range(len(batch)):
+            expected = batch.columns[surrogate_indices(list(batch.blocks), policy, i)]
+            assert np.array_equal(batch[i], expected)
+        assert np.array_equal(_regenerated_index(batch), batch.index_matrix)
+        fast = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
+        assert np.max(np.abs(fast - gaussian_cmi_batch(_gathered(batch), y, z))) <= 1e-12
 
-    def _stack(self, name):
+    def test_many_short_shuffle_blocks(self):
+        rng = np.random.default_rng(12)
+        n_blocks, length = 400, 8
+        mixing = np.eye(6) + np.triu(rng.normal(size=(6, 6)), k=1)
+        data = rng.normal(size=(n_blocks * length, 6)) @ mixing
+        x, y, z = data[:, :3], data[:, 3:4], data[:, 4:]
+        rep_ids = np.repeat(np.arange(n_blocks), length)
+        batch = _surrogate_batch(x, rep_ids, SurrogatePolicy(REPLICATION_SHUFFLE, seed=5), 40)
+        assert np.array_equal(_regenerated_index(batch), batch.index_matrix)
+        fast = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
+        assert np.max(np.abs(fast - gaussian_cmi_batch(_gathered(batch), y, z))) <= 1e-12
+
+    def _batch(self, name):
         x, y, z, _ = _degenerate_case(name)
-        index = surrogate_index_matrix(np.zeros(len(x), dtype=int), SurrogatePolicy(seed=3), 5)
-        return np.take(x, index, axis=0), y, z
+        rep_ids = np.zeros(len(x), dtype=int)
+        return _surrogate_batch(x, rep_ids, SurrogatePolicy(seed=3), 5), y, z
 
     def test_constant_x_is_zero_on_both_paths(self):
-        x_batch, y, z = self._stack("constant x")
-        assert np.all(GaussianEstimator().cmi_surrogate_batch(x_batch, y, z) == 0.0)
-        assert np.all(gaussian_cmi_batch(x_batch, y, z) == 0.0)
+        batch, y, z = self._batch("constant x")
+        assert np.all(GaussianEstimator().cmi_surrogate_batch(batch, y, z) == 0.0)
+        assert np.all(gaussian_cmi_batch(_gathered(batch), y, z) == 0.0)
 
     def test_singular_z_raises_on_both_paths(self):
-        x_batch, y, z = self._stack("singular z")
+        batch, y, z = self._batch("singular z")
         with pytest.raises(SingularCovarianceError):
-            GaussianEstimator().cmi_surrogate_batch(x_batch, y, z)
+            GaussianEstimator().cmi_surrogate_batch(batch, y, z)
         with pytest.raises(SingularCovarianceError):
-            gaussian_cmi_batch(x_batch, y, z)
+            gaussian_cmi_batch(_gathered(batch), y, z)
 
 
 @st.composite

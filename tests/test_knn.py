@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infonet import KnnEstimator, KnnSettings, gaussian_cmi, knn_cmi, knn_mi
+from infonet import KnnEstimator, KnnSettings, SurrogatePolicy, gaussian_cmi, knn_cmi, knn_mi
 from infonet.errors import EstimatorError
+from infonet.estimators.base import SurrogateBatch
+from infonet.stats import replication_blocks, surrogate_index_matrix
 
 
 def _gauss_pair(rng, n, rho):
@@ -116,10 +118,12 @@ class TestAdapter:
         rng = np.random.default_rng(51)
         x, y = _gauss_pair(rng, 120, 0.5)
         est = KnnEstimator(KnnSettings(k=3, seed=9))
-        batch = np.stack([x, rng.permutation(x)], axis=0)
+        rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=9)
+        index = surrogate_index_matrix(rep_ids, policy, 2)
+        batch = SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)
         vals = est.cmi_surrogate_batch(batch, y, None)
         assert vals.shape == (2,)
-        assert vals[0] == est.cmi_value(x, y, None)
+        assert vals[0] == est.cmi_value(batch[0], y, None)
 
 
 @st.composite

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infonet import (
     GaussianEstimator,
@@ -14,7 +16,8 @@ from infonet import (
     omnibus_test,
 )
 from infonet.errors import InsufficientReplicationsError, StatsError
-from infonet.estimators import DiscreteEstimator
+from infonet.estimators import DiscreteEstimator, KnnEstimator, KnnSettings
+from infonet.estimators.base import SurrogateBatch
 from infonet.stats import (
     CIRCULAR_SHIFT,
     REPLICATION_SHUFFLE,
@@ -125,6 +128,16 @@ class TestPvalueConventions:
         assert permutation_pvalue(1.0, np.zeros(200)) == pytest.approx(1 / 201)
         assert permutation_pvalue(-1.0, np.zeros(200)) == 1.0
         assert permutation_pvalue(0.0, np.zeros(200)) == 1.0  # ties count
+
+    def test_non_finite_values_raise(self):
+        # A NaN compares False, so it used to count as a miss and give the
+        # smallest p-value possible.
+        with pytest.raises(StatsError, match="nan"):
+            permutation_pvalue(np.nan, np.zeros(19))
+        with pytest.raises(StatsError, match="nan"):
+            permutation_pvalue(0.1, np.full(19, np.nan))
+        with pytest.raises(StatsError, match="inf"):
+            permutation_pvalue(0.1, np.r_[np.zeros(18), np.inf])
 
     def test_permutation_count_gate(self):
         with pytest.raises(InsufficientPermutationsError):
@@ -270,6 +283,10 @@ class TestFdr:
         with pytest.raises(StatsError):
             fdr_correct([-0.1])
 
+    def test_rejects_nan_pvalue(self):
+        with pytest.raises(StatsError, match="nan"):
+            fdr_correct([np.nan, 0.001, 0.5])
+
     def test_external_m(self):
         # with m=20, one p-value at 0.004 is below 0.05/20 = 0.0025? no: kill
         assert not fdr_correct([0.004], alpha=0.05, m=20).any()
@@ -292,3 +309,45 @@ class TestFdr:
         p = [1 / 201] * 5
         mask = fdr_correct(p, alpha=0.05, m=20)
         assert mask.all()
+
+
+@st.composite
+def _surrogate_cases(draw):
+    """(surrogate batch, y, z, discrete) for the default estimator loop."""
+    discrete = draw(st.booleans())
+    method = draw(st.sampled_from([CIRCULAR_SHIFT, REPLICATION_SHUFFLE]))
+    n_reps = draw(st.integers(1 if method == CIRCULAR_SHIFT else 2, 3))
+    length = draw(st.integers(12, 40))
+    dx, dz = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = n_reps * length
+    if discrete:
+        data = rng.integers(0, 3, size=(n, dx + 1 + dz)).astype(np.float64)
+    else:
+        data = rng.normal(size=(n, dx + 1 + dz))
+        data[:, dx] += data[:, 0]
+    rep_ids = np.repeat(np.arange(n_reps), length)
+    policy = SurrogatePolicy(method, min_shift=2, seed=draw(st.integers(0, 999)))
+    index = surrogate_index_matrix(rep_ids, policy, draw(st.integers(1, 6)))
+    batch = SurrogateBatch(
+        data[:, :dx], index, tuple(replication_blocks(rep_ids)), policy.method
+    )
+    return batch, data[:, dx : dx + 1], data[:, dx + 1 :], discrete
+
+
+class TestDefaultSurrogateBatch:
+    """The default loop gives each draw exactly its scalar value."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_surrogate_cases())
+    def test_equals_scalar_value_per_draw(self, case):
+        batch, y, z, discrete = case
+        estimators = (
+            [DiscreteEstimator(alphabet_size=3)]
+            if discrete
+            else [KnnEstimator(KnnSettings(k=3, noise_amplitude=0.0)), KnnEstimator()]
+        )
+        for estimator in estimators:
+            values = estimator.cmi_surrogate_batch(batch, y, z)
+            expected = [estimator.cmi_value(batch[i], y, z) for i in range(len(batch))]
+            assert values.tolist() == expected
