@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma
 
-from ..errors import DataError, DuplicatePointsError, EstimatorError
+from ..errors import DuplicatePointsError, EstimatorError
 from ..neighbors import NeighborIndex
 from ..seeding import rng_for
-from ..special import digamma
 from .base import Estimator, InfoValue, as_columns
 
 _LN2 = math.log(2.0)

@@ -131,9 +131,9 @@ class TestPinnedOutput:
         data_a = _condition(0.5, seed=11, n_rep=6, n=100)
         data_b = _condition(0.4, seed=12, n_rep=6, n=100)
         assert self._single_link(data_a, data_b, "knn") == (
-            0.14427515141463487,
-            0.09953773608184871,
-            0.04473741533278616,
+            0.14427515141463337,
+            0.09953773608184727,
+            0.04473741533278611,
             0.43902439024390244,
         )
 
