@@ -27,7 +27,7 @@ from .export import (
     to_dot,
 )
 from .generate import Coupling, GroundTruthSpec, generate_dataset, ground_truth_links
-from .inference import InferenceSettings, infer_network
+from .inference import InferenceSettings, infer_network, prepare_dataset
 from .pid import pid_from_data
 
 _SETTINGS_KEYS = {f.name for f in dataclasses.fields(InferenceSettings)}
@@ -164,12 +164,14 @@ def _cmd_infer(args) -> int:
     cfg = _load_config(args)
     _check_keys(cfg, _INFER_KEYS, "infer")
     settings = _build_settings(cfg, args.seed)
-    dataset = _load_dataset(cfg, "infer")
+    dataset = prepare_dataset(_load_dataset(cfg, "infer"), settings)
     threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
     _log(
         f"inferring {settings.mode} network over {dataset.n_processes} processes "
         f"({dataset.n_samples} samples x {dataset.n_replications} replications)"
     )
+    for warning in dataset.warnings:
+        _log(f"warning: {warning}")
     started = time.monotonic()
     network = infer_network(dataset, settings, threads=threads)
     elapsed = time.monotonic() - started

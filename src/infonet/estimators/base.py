@@ -40,7 +40,7 @@ def as_columns(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurrogateBatch:
-    """The surrogate draws of one permutation test for one (n, d) column block.
+    """The surrogate draws of one permutation test for an (n, d) column block.
 
     Row ``i`` of the (draws, n) ``index_matrix`` gathers draw ``i`` from
     ``columns``. ``blocks`` are the (start, stop) rows of the replications,
@@ -49,22 +49,46 @@ class SurrogateBatch:
     (``REPLICATION_SHUFFLE``). Every draw is therefore a row permutation of
     ``columns``, and its structure can be read off the block-start columns of
     the index matrix without gathering any rows.
+
+    The block holds one or more candidates of ``width`` columns each (by
+    default one candidate of the full width), and every candidate shares the
+    test's draws. Member ``i`` is candidate ``i // draws`` under draw
+    ``i % draws``, so ``len`` counts candidates times draws and the members
+    of one candidate are consecutive.
     """
 
     columns: np.ndarray
     index_matrix: np.ndarray
     blocks: tuple[tuple[int, int], ...]
     method: str
+    width: int | None = None
 
     def __post_init__(self):
         if self.method not in SURROGATE_METHODS:
             raise StatsError(f"unknown surrogate method {self.method!r}")
+        if np.ndim(self.columns) != 2:
+            raise StatsError("surrogate columns must be a 2-D (n, d) block")
+        total = self.columns.shape[1]
+        if self.width is None:
+            object.__setattr__(self, "width", total)
+        if self.width < 1 or total % self.width:
+            raise StatsError(f"{total} columns do not split into candidates of width {self.width}")
 
-    def __len__(self) -> int:
+    @property
+    def n_draws(self) -> int:
         return self.index_matrix.shape[0]
 
+    @property
+    def n_candidates(self) -> int:
+        return self.columns.shape[1] // self.width
+
+    def __len__(self) -> int:
+        return self.n_candidates * self.n_draws
+
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.columns[self.index_matrix[i]]
+        candidate, draw = divmod(i, self.n_draws)
+        first = candidate * self.width
+        return self.columns[self.index_matrix[draw], first : first + self.width]
 
     def _starts(self) -> np.ndarray:
         return self.index_matrix[:, [start for start, _ in self.blocks]]
@@ -90,10 +114,12 @@ class Estimator:
     vectorizes both.
 
     ``cmi_surrogate_batch`` takes a :class:`SurrogateBatch`, the draws of one
-    permutation test for one column block, and returns one value per draw.
-    The default gathers the draws one at a time and calls ``cmi_value``, so
-    it equals the scalar path exactly. An override may use the structure of
-    the draws instead: the Gaussian one never gathers rows.
+    permutation test for one or more equal-width candidates, and returns one
+    value per member, in the batch's member order (candidate-major). The
+    default gathers the members one at a time and calls ``cmi_value``, so it
+    equals the scalar path exactly. An override may use the structure of the
+    draws instead: the Gaussian one never gathers rows and shares the (y, z)
+    work across every candidate.
     """
 
     name = "base"
@@ -129,7 +155,7 @@ class Estimator:
 
     def candidates_cmi(self, columns: np.ndarray, y, z=None) -> np.ndarray:
         """CMI of each column of an (n, m) candidate matrix against (y, z)."""
-        columns = np.atleast_2d(np.asarray(columns, dtype=np.float64))
+        columns = as_columns(columns)
         out = np.empty(columns.shape[1], dtype=np.float64)
         for j in range(columns.shape[1]):
             out[j] = self.cmi_value(columns[:, j : j + 1], y, z)

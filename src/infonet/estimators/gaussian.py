@@ -17,12 +17,14 @@ constant column is the common case of the second kind and gets 0 bits.
 Every entry point reduces to a stack of joint covariances of (x, y, z) and
 shares one kernel: the batched form evaluates one conditional mutual
 information for a stack of replacement first-argument columns; the surrogate
-form does the same for the draws of a permutation test, which share x's
-moments and differ only in their cross-covariance with (y, z), computed
-without gathering rows; the group form gives each member its own (y, z)
-block, which is what the replication exchange of a group comparison needs;
-a single value is a stack of one. Second moments suffice because Gaussian
-transfer entropy is Granger causality (Barnett, Barrett & Seth 2009).
+form does the same for the draws of a permutation test, which share each
+candidate's moments and differ only in their cross-covariance with (y, z);
+it computes those without gathering rows, for every candidate of a max test
+in one call, so the test centers and factorizes its (y, z) block once; the
+group form gives each member its own (y, z) block, which is what the
+replication exchange of a group comparison needs; a single value is a stack
+of one. Second moments suffice because Gaussian transfer entropy is Granger
+causality (Barnett, Barrett & Seth 2009).
 """
 
 from __future__ import annotations
@@ -48,25 +50,39 @@ _MEAN_ROUNDING = 1e-9
 def _factorize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cholesky factors, log-determinants and singular flags of an (m, d, d) stack.
 
-    The stack is factorized in one call. Only when that call fails is each
-    member factorized alone, so that one singular member does not hide the
-    others; a member that fails has a NaN factor.
+    A member whose factorization fails has a NaN factor; see :func:`_cholesky`.
     """
     if stack.shape[1] == 0:
         return stack, np.zeros(len(stack)), np.zeros(len(stack), dtype=bool)
-    try:
-        factors = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        factors = np.full_like(stack, np.nan)
-        for i, matrix in enumerate(stack):
-            try:
-                factors[i] = np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                pass
+    factors = _cholesky(stack)
     diags = factors.diagonal(0, 1, 2)
     # Written so that a NaN factor counts as singular.
     singular = ~(diags * diags > _PIVOT_SHARE * stack.diagonal(0, 1, 2)).all(axis=1)
     return factors, 2.0 * np.log(diags).sum(axis=1), singular
+
+
+def _cholesky(stack: np.ndarray) -> np.ndarray:
+    """Cholesky factors of an (m, d, d) stack, NaN for each member that fails.
+
+    Each pivot is a diagonal entry minus a sum of squares, so a member with a
+    diagonal entry that is not positive (a constant column) fails and is not
+    tried. The rest are factorized in one call. Only when that call fails are
+    its two halves retried the same way, so that one singular member neither
+    hides the others nor sends a whole max-test stack member by member; each
+    member's factor is the one it gets alone.
+    """
+    tried = (stack.diagonal(0, 1, 2) > 0).all(axis=1)
+    if not tried.all():
+        factors = np.full_like(stack, np.nan)
+        factors[tried] = _cholesky(stack[tried])
+        return factors
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.full_like(stack, np.nan)
+        half = len(stack) // 2
+        return np.concatenate([_cholesky(stack[:half]), _cholesky(stack[half:])])
 
 
 def _column_means(data: np.ndarray) -> np.ndarray:
@@ -276,26 +292,37 @@ class GaussianEstimator(Estimator):
     def cmi_surrogate_batch(self, x_batch: SurrogateBatch, y, z=None) -> np.ndarray:
         """Surrogate CMIs from cross-covariances alone, with no gathered rows.
 
-        Every draw is a row permutation of the column block, so all draws
-        share its mean and covariance and differ only in their
+        Every draw is a row permutation of the column block, so all draws of
+        a candidate share its mean and covariance and differ only in their
         cross-covariance with (y, z): circular shifts take it from one FFT
         cross-correlation per replication block, replication shuffles from
-        inner products of whole blocks. One kernel call covers every draw.
-        Values match :func:`gaussian_cmi_batch` on the gathered draws to
-        rounding.
+        inner products of whole blocks, for every candidate's columns at
+        once. One kernel call covers every member, with each candidate's
+        own covariance and the shared (y, z) block, factorized once. Values
+        match :func:`gaussian_cmi_batch` on the gathered members to rounding.
         """
         columns = as_columns(x_batch.columns)
-        n, dx = columns.shape
-        fixed_c, s_ff, dy = _centered_fixed(y, z, n, dx)
+        n, width = columns.shape[0], x_batch.width
+        draws, candidates = x_batch.n_draws, x_batch.n_candidates
+        fixed_c, s_ff, dy = _centered_fixed(y, z, n, width)
         xc = columns - _column_means(columns)
         if x_batch.method == CIRCULAR_SHIFT:
             s_xf = _shifted_cross(xc, fixed_c, x_batch.blocks, x_batch.rotations())
         else:
             s_xf = _shuffled_cross(xc, fixed_c, len(x_batch.blocks), x_batch.block_orders())
-        return _cmi_stack(xc.T @ xc / (n - 1), s_xf / (n - 1), s_ff, dy)[0]
+        # (draws, candidates * width, df) to candidate-major members.
+        s_xf = s_xf.reshape(draws, candidates, width, -1).swapaxes(0, 1)
+        per_candidate = xc.reshape(n, candidates, width)
+        s_xx = np.einsum("ncd,nce->cde", per_candidate, per_candidate)
+        return _cmi_stack(
+            np.repeat(s_xx / (n - 1), draws, axis=0),
+            s_xf.reshape(candidates * draws, width, -1) / (n - 1),
+            s_ff,
+            dy,
+        )[0]
 
     def candidates_cmi(self, columns, y, z=None) -> np.ndarray:
-        columns = np.atleast_2d(np.asarray(columns, dtype=np.float64))
+        columns = as_columns(columns)
         if columns.shape[1] == 0:
             return np.zeros(0)
         return gaussian_cmi_batch(columns.T[:, :, np.newaxis], y, z)

@@ -11,12 +11,15 @@ joint (omnibus) surrogation a special case of the same machinery.
 A test builds its surrogates once, as an (n_permutations, n) index matrix:
 the replication blocks of its rows are derived once, then each draw makes its
 own generator and offsets (a replication shuffle reorders whole rows of the
-(blocks, length) grid). Each candidate column, or the omnibus's joint block,
-then goes to the estimator as one :class:`SurrogateBatch` holding that column
-block, the index matrix, the blocks and the method, with every draw in one
-``Estimator.cmi_surrogate_batch`` call. The default estimator gathers one
-draw at a time; the Gaussian one computes every draw's cross-covariance
-without gathering rows.
+(blocks, length) grid). The estimator gets them as a :class:`SurrogateBatch`
+holding a column block, the index matrix, the blocks and the method, with
+every draw in one ``Estimator.cmi_surrogate_batch`` call. A max test makes
+one call for its whole pool: every candidate column is one candidate of the
+batch, since all share (y, z). A min test makes one call per selected
+variable, whose conditioning differs, and the omnibus test one call for its
+joint block. The default estimator gathers one member at a time; the
+Gaussian one computes every member's cross-covariance without gathering
+rows.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .estimators.base import (
     SURROGATE_METHODS,
     Estimator,
     SurrogateBatch,
+    as_columns,
 )
 from .seeding import rng_for
 
@@ -154,6 +158,14 @@ def permutation_pvalue(observed: float, null_values: np.ndarray) -> float:
     return (c + 1) / (null_values.size + 1)
 
 
+def _check_rows(columns: np.ndarray, y, z, rep_ids) -> None:
+    """Every argument of a test must have one row per observation."""
+    n = columns.shape[0]
+    for name, arg in (("rep_ids", rep_ids), ("y", y), ("z", z)):
+        if arg is not None and np.size(arg) and np.shape(arg)[0] != n:
+            raise StatsError(f"{name} has {np.shape(arg)[0]} rows, the columns have {n}")
+
+
 def _surrogate_batches(rep_ids: np.ndarray, policy: SurrogatePolicy, n_perm: int):
     """A test's draws, built once: maps a column block to its :class:`SurrogateBatch`."""
     return partial(
@@ -183,16 +195,15 @@ def max_statistic_test(
     surrogated. The observed statistic defaults to the largest observed CMI;
     sequential re-tests override it with the variable under test.
     """
-    candidate_columns = np.atleast_2d(np.asarray(candidate_columns, dtype=np.float64))
+    candidate_columns = as_columns(candidate_columns)
     observed_cmis = np.asarray(observed_cmis, dtype=np.float64)
     if candidate_columns.shape[1] != observed_cmis.size or observed_cmis.size == 0:
         raise StatsError("need one observed CMI per candidate column")
+    _check_rows(candidate_columns, y, z, rep_ids)
     check_permutation_count(n_perm, alpha)
-    surrogates = _surrogate_batches(rep_ids, policy, n_perm)
-    null_max = np.full(n_perm, -np.inf)
-    for j in range(candidate_columns.shape[1]):
-        vals = estimator.cmi_surrogate_batch(surrogates(candidate_columns[:, j : j + 1]), y, z)
-        np.maximum(null_max, vals, out=null_max)
+    batch = _surrogate_batches(rep_ids, policy, n_perm)(candidate_columns, width=1)
+    null = estimator.cmi_surrogate_batch(batch, y, z)
+    null_max = null.reshape(candidate_columns.shape[1], n_perm).max(axis=0)
     statistic = (
         float(observed_cmis.max()) if observed_statistic is None else float(observed_statistic)
     )
@@ -217,10 +228,11 @@ def min_statistic_test(
     the selected variables of their surrogate CMIs under the same
     conditioning.
     """
-    selected_columns = np.atleast_2d(np.asarray(selected_columns, dtype=np.float64))
+    selected_columns = as_columns(selected_columns)
     m = selected_columns.shape[1]
     if m == 0:
         raise StatsError("min-statistic test needs at least one selected variable")
+    _check_rows(selected_columns, y, z_base, rep_ids)
     check_permutation_count(n_perm, alpha)
     base = (
         np.asarray(z_base, dtype=np.float64)
@@ -266,11 +278,10 @@ def omnibus_test(
     set of per-replication offsets per permutation. An empty source set is
     vacuously non-significant with p = 1.
     """
-    source_columns = np.asarray(source_columns, dtype=np.float64)
-    if source_columns.ndim == 1:
-        source_columns = source_columns[:, np.newaxis]
+    source_columns = as_columns(source_columns)
     if source_columns.shape[1] == 0:
         return TestResult(0.0, 1.0, False, n_perm, alpha)
+    _check_rows(source_columns, y, z, rep_ids)
     check_permutation_count(n_perm, alpha)
     observed = estimator.cmi_value(source_columns, y, z)
     batch = _surrogate_batches(rep_ids, policy, n_perm)(source_columns)

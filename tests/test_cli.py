@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from infonet import InferenceSettings, infer_network, load_csv, network_to_json
 from infonet.cli import main
 
 
@@ -115,6 +116,30 @@ class TestInfer:
         assert run_cli(["infer", "--config", str(config)]) == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out)["seed"] == 8
+
+
+class TestInferWarnings:
+    def test_constant_replication_warned_and_output_unchanged(self, tmp_path, capsys):
+        rng = np.random.default_rng(191)
+        paths = []
+        for r in range(2):
+            x = rng.normal(size=400)
+            y = np.concatenate([[0.0], 0.6 * x[:-1]]) + rng.normal(size=400)
+            if r == 1:
+                x[:] = 2.0
+            path = tmp_path / f"rep{r}.csv"
+            np.savetxt(path, np.column_stack([x, y]), delimiter=",")
+            paths.append(str(path))
+        config = tmp_path / "infer.json"
+        config.write_text(json.dumps({"input": paths, "seed": 9}))
+        out_path = tmp_path / "net.json"
+        assert run_cli(["infer", "--config", str(config), "--output", str(out_path)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: constant series: process 0, replication 1" in err
+        expected = network_to_json(
+            infer_network(load_csv(paths), InferenceSettings(seed=9)), runtime_seconds=0.0
+        )
+        assert out_path.read_text() == expected
 
 
 class TestAis:

@@ -15,7 +15,7 @@ from infonet import (
     gaussian_mi,
 )
 from infonet.estimators.base import SurrogateBatch
-from infonet.estimators.gaussian import gaussian_cmi_batch
+from infonet.estimators.gaussian import _factorize, gaussian_cmi_batch
 from infonet.stats import (
     CIRCULAR_SHIFT,
     REPLICATION_SHUFFLE,
@@ -408,6 +408,77 @@ class TestSurrogateBatch:
             GaussianEstimator().cmi_surrogate_batch(batch, y, z)
         with pytest.raises(SingularCovarianceError):
             gaussian_cmi_batch(_gathered(batch), y, z)
+
+
+@st.composite
+def _multi_candidate_cases(draw):
+    """(batch, y, z, constant candidate or None) for a max test's whole pool."""
+    candidates, width = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    dz = draw(st.integers(0, 3))
+    method = draw(st.sampled_from([CIRCULAR_SHIFT, REPLICATION_SHUFFLE]))
+    n_reps = draw(st.integers(1 if method == CIRCULAR_SHIFT else 2, 4))
+    d = width + 1 + dz
+    length = draw(st.integers(max(10, (3 * d + 10) // n_reps + 1), 300 // n_reps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Each candidate is coupled to the shared (y, z) through its own mixing.
+    fixed = rng.normal(size=(n_reps * length, 1 + dz))
+    x = np.concatenate(
+        [
+            rng.normal(size=(len(fixed), width)) + fixed @ rng.normal(size=(1 + dz, width))
+            for _ in range(candidates)
+        ],
+        axis=1,
+    )
+    x += draw(st.sampled_from([0.0, 1e3]))
+    constant = draw(st.one_of(st.none(), st.integers(0, candidates - 1)))
+    if constant is not None:
+        x[:, constant * width : (constant + 1) * width] = 0.1
+    min_shift, seed = draw(st.integers(1, 5)), draw(st.integers(0, 999))
+    policy = SurrogatePolicy(method, min_shift=min_shift, seed=seed)
+    rep_ids = np.repeat(np.arange(n_reps), length)
+    index = surrogate_index_matrix(rep_ids, policy, draw(st.integers(1, 30)))
+    batch = SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), method, width=width)
+    return batch, fixed[:, :1], fixed[:, 1:], constant
+
+
+class TestMultiCandidateBatch:
+    """Every candidate's draws in one call equal the general batch on each gathered member."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_multi_candidate_cases())
+    def test_equals_general_batch(self, case):
+        batch, y, z, constant = case
+        fast = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
+        assert fast.shape == (batch.n_candidates * batch.n_draws,)
+        assert np.max(np.abs(fast - gaussian_cmi_batch(_gathered(batch), y, z))) <= 1e-12
+        if constant is not None:
+            members = slice(constant * batch.n_draws, (constant + 1) * batch.n_draws)
+            assert np.all(fast[members] == 0.0)
+
+
+class TestFactorize:
+    def test_halving_fallback_equals_member_by_member(self):
+        rng = np.random.default_rng(31)
+        m, d = 37, 4
+        a = rng.normal(size=(m, d + 3, d))
+        stack = np.einsum("mnd,mne->mde", a, a)
+        stack[[0, 9, 36], 2, :] = 0.0  # a constant column: a zero row and column
+        stack[[0, 9, 36], :, 2] = 0.0
+        stack[17] = -stack[17]
+        # Positive diagonals, but the second pivot is negative: only the call finds these.
+        for i in (10, 11, 23, 30):
+            stack[i, 0, 1] = stack[i, 1, 0] = 3.0 * np.sqrt(stack[i, 0, 0] * stack[i, 1, 1])
+        factors, logdets, singular = _factorize(stack)
+        for i, matrix in enumerate(stack):
+            try:
+                expected = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                expected = np.full_like(matrix, np.nan)
+            assert np.array_equal(factors[i], expected, equal_nan=True)
+            single = _factorize(matrix[np.newaxis])
+            assert np.array_equal(logdets[i], single[1][0], equal_nan=True)
+            assert singular[i] == single[2][0]
+        assert singular.tolist() == [i in (0, 9, 10, 11, 17, 23, 30, 36) for i in range(m)]
 
 
 @st.composite

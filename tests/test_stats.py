@@ -190,6 +190,108 @@ class TestMaxStatistic:
             )
 
 
+def _per_column_max_test(columns, observed, y, z, rep_ids, estimator, policy, n_perm, alpha):
+    """The max test as one surrogate batch per candidate column, maxima taken in turn."""
+    index = surrogate_index_matrix(rep_ids, policy, n_perm)
+    blocks = tuple(replication_blocks(rep_ids))
+    null_max = np.full(n_perm, -np.inf)
+    for j in range(columns.shape[1]):
+        batch = SurrogateBatch(columns[:, j : j + 1], index, blocks, policy.method)
+        np.maximum(null_max, estimator.cmi_surrogate_batch(batch, y, z), out=null_max)
+    statistic = float(np.max(observed))
+    return statistic, permutation_pvalue(statistic, null_max)
+
+
+class TestMaxStatisticOneCall:
+    """One call for the whole pool gives the per-column loop's statistic and p-value."""
+
+    @pytest.mark.parametrize("name", ["gaussian", "knn", "discrete"])
+    @pytest.mark.parametrize("method", [CIRCULAR_SHIFT, REPLICATION_SHUFFLE])
+    def test_equals_per_column_loop(self, name, method):
+        rng = np.random.default_rng(78)
+        n_reps, length = 3, 40
+        n = n_reps * length
+        if name == "discrete":
+            estimator = DiscreteEstimator(alphabet_size=2)
+            columns = rng.integers(0, 2, size=(n, 4)).astype(np.float64)
+            y = np.logical_xor(columns[:, :1], rng.random((n, 1)) < 0.2).astype(np.float64)
+            z = rng.integers(0, 2, size=(n, 1)).astype(np.float64)
+        else:
+            estimator = GaussianEstimator() if name == "gaussian" else KnnEstimator()
+            columns = rng.normal(size=(n, 4))
+            z = rng.normal(size=(n, 1))
+            y = 0.3 * columns[:, :1] + 0.5 * z + rng.normal(size=(n, 1))
+        rep_ids = np.repeat(np.arange(n_reps), length)
+        observed = estimator.candidates_cmi(columns, y, z)
+        policy = _policy(method=method, min_shift=2, seed=15)
+        args = (columns, observed, y, z, rep_ids, estimator, policy, 60, 0.05)
+        result = max_statistic_test(*args)
+        statistic, p = _per_column_max_test(*args)
+        assert result.statistic == statistic
+        assert result.p_value == p
+
+
+_TESTS = {
+    "max": lambda cols, y, z, reps: max_statistic_test(
+        cols, np.zeros(1 if np.ndim(cols) == 1 else cols.shape[1]), y, z, reps, GaussianEstimator(),
+        _policy(min_shift=2), 50, 0.05,
+    ),
+    "min": lambda cols, y, z, reps: min_statistic_test(
+        cols, y, z, reps, GaussianEstimator(), _policy(min_shift=2), 50, 0.05
+    ),
+    "omnibus": lambda cols, y, z, reps: omnibus_test(
+        cols, y, z, reps, GaussianEstimator(), _policy(min_shift=2), 50, 0.05
+    ),
+}
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("test", sorted(_TESTS))
+    @pytest.mark.parametrize("rep_rows", [200, 400])
+    def test_rep_ids_of_the_wrong_length_rejected(self, test, rep_rows):
+        rng = np.random.default_rng(79)
+        columns = rng.normal(size=(300, 2))
+        y = columns[:, :1] + rng.normal(size=(300, 1))
+        with pytest.raises(StatsError, match=f"rep_ids has {rep_rows} rows, the columns have 300"):
+            _TESTS[test](columns, y, None, np.zeros(rep_rows, dtype=int))
+
+    @pytest.mark.parametrize("test", sorted(_TESTS))
+    @pytest.mark.parametrize("name", ["y", "z"])
+    def test_y_or_z_of_the_wrong_length_rejected(self, test, name):
+        rng = np.random.default_rng(80)
+        columns = rng.normal(size=(300, 2))
+        args = {"y": rng.normal(size=(300, 1)), "z": rng.normal(size=(300, 1))}
+        args[name] = args[name][:250]
+        with pytest.raises(StatsError, match=f"{name} has 250 rows, the columns have 300"):
+            _TESTS[test](columns, args["y"], args["z"], np.zeros(300, dtype=int))
+
+    @pytest.mark.parametrize("test", ["max", "min"])
+    def test_one_dimensional_column_is_one_candidate(self, test):
+        rng = np.random.default_rng(81)
+        x = rng.normal(size=300)
+        y = 0.8 * x[:, None] + rng.normal(size=(300, 1))
+        rep_ids = np.zeros(300, dtype=int)
+        result = _TESTS[test](x, y, None, rep_ids)
+        expected = _TESTS[test](x[:, None], y, None, rep_ids)
+        assert result == expected
+
+    @pytest.mark.parametrize("estimator", [GaussianEstimator(), KnnEstimator()])
+    def test_one_dimensional_column_has_one_observed_value(self, estimator):
+        rng = np.random.default_rng(83)
+        x = rng.normal(size=300)
+        y = 0.8 * x[:, None] + rng.normal(size=(300, 1))
+        observed = estimator.candidates_cmi(x, y, None)
+        assert observed.tolist() == estimator.candidates_cmi(x[:, None], y, None).tolist()
+
+    def test_one_dimensional_column_needs_one_observed_value(self):
+        x = np.random.default_rng(82).normal(size=300)
+        with pytest.raises(StatsError, match="one observed CMI per candidate"):
+            max_statistic_test(
+                x, np.zeros(2), x[:, None], None, np.zeros(300, dtype=int),
+                GaussianEstimator(), _policy(min_shift=2), 50, 0.05,
+            )
+
+
 class TestMinStatistic:
     def test_single_variable_reduces_to_plain_test(self):
         rng = np.random.default_rng(74)
@@ -313,35 +415,42 @@ class TestFdr:
 
 @st.composite
 def _surrogate_cases(draw):
-    """(surrogate batch, y, z, discrete) for the default estimator loop."""
+    """(surrogate batch of one or more candidates, y, z, discrete) for the default loop."""
     discrete = draw(st.booleans())
     method = draw(st.sampled_from([CIRCULAR_SHIFT, REPLICATION_SHUFFLE]))
     n_reps = draw(st.integers(1 if method == CIRCULAR_SHIFT else 2, 3))
     length = draw(st.integers(12, 40))
+    candidates = draw(st.integers(1, 3))
     dx, dz = draw(st.integers(1, 2)), draw(st.integers(0, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = n_reps * length
+    total = candidates * dx
     if discrete:
-        data = rng.integers(0, 3, size=(n, dx + 1 + dz)).astype(np.float64)
+        data = rng.integers(0, 3, size=(n, total + 1 + dz)).astype(np.float64)
     else:
-        data = rng.normal(size=(n, dx + 1 + dz))
-        data[:, dx] += data[:, 0]
+        data = rng.normal(size=(n, total + 1 + dz))
+        data[:, total] += data[:, 0]
     rep_ids = np.repeat(np.arange(n_reps), length)
     policy = SurrogatePolicy(method, min_shift=2, seed=draw(st.integers(0, 999)))
     index = surrogate_index_matrix(rep_ids, policy, draw(st.integers(1, 6)))
     batch = SurrogateBatch(
-        data[:, :dx], index, tuple(replication_blocks(rep_ids)), policy.method
+        data[:, :total], index, tuple(replication_blocks(rep_ids)), policy.method, width=dx
     )
-    return batch, data[:, dx : dx + 1], data[:, dx + 1 :], discrete
+    return batch, data[:, total : total + 1], data[:, total + 1 :], discrete
 
 
 class TestDefaultSurrogateBatch:
-    """The default loop gives each draw exactly its scalar value."""
+    """The default loop gives each member exactly its scalar value."""
 
     @settings(max_examples=30, deadline=None)
     @given(_surrogate_cases())
     def test_equals_scalar_value_per_draw(self, case):
         batch, y, z, discrete = case
+        assert len(batch) == batch.n_candidates * batch.n_draws
+        for i in range(len(batch)):
+            candidate, draw = divmod(i, batch.n_draws)
+            columns = batch.columns[:, candidate * batch.width : (candidate + 1) * batch.width]
+            assert np.array_equal(batch[i], columns[batch.index_matrix[draw]])
         estimators = (
             [DiscreteEstimator(alphabet_size=3)]
             if discrete
@@ -351,3 +460,8 @@ class TestDefaultSurrogateBatch:
             values = estimator.cmi_surrogate_batch(batch, y, z)
             expected = [estimator.cmi_value(batch[i], y, z) for i in range(len(batch))]
             assert values.tolist() == expected
+
+    def test_width_must_divide_the_block(self):
+        index = np.zeros((2, 10), dtype=np.int64)
+        with pytest.raises(StatsError, match="width 2"):
+            SurrogateBatch(np.zeros((10, 3)), index, ((0, 10),), CIRCULAR_SHIFT, width=2)
