@@ -1,5 +1,12 @@
-"""Shared estimator surface: the InfoValue result, the surrogate batch and the
-batch protocol."""
+"""Shared estimator surface: the input contract, the InfoValue result, the
+surrogate batch and the batch protocol.
+
+Every estimator reads (x, y, z) through :func:`as_xyz`, or (y, z) through
+:func:`as_yz`: each becomes 2-D (observations, variables) float columns, and
+an absent or empty z an (n, 0) block. Input of more than two dimensions
+raises ``DataError``, a NaN or infinite value ``InvalidValueError``, and
+arguments whose row counts differ ``EstimatorError``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import StatsError
+from ..errors import DataError, EstimatorError, InvalidValueError, StatsError
 
 CIRCULAR_SHIFT = "circular_shift"
 REPLICATION_SHUFFLE = "replication_shuffle"
@@ -29,26 +36,45 @@ class InfoValue:
 
 
 def as_columns(x) -> np.ndarray:
-    """Coerce input to a 2-D (observations, variables) float array."""
+    """Coerce input to a 2-D (observations, variables) array of finite floats."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, np.newaxis]
     if arr.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D data, got shape {arr.shape}")
+        raise DataError(f"expected 1-D or 2-D data, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        bad = np.count_nonzero(~np.isfinite(arr))
+        raise InvalidValueError(f"{bad} NaN or infinite values in data of shape {arr.shape}")
     return arr
+
+
+def as_yz(y, z, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(y, z) as columns of n rows each; an absent or empty z becomes (n, 0)."""
+    y = as_columns(y)
+    z = as_columns(z) if z is not None and np.size(z) else np.empty((n, 0))
+    for name, arg in (("y", y), ("z", z)):
+        if arg.shape[0] != n:
+            raise EstimatorError(f"{name} has {arg.shape[0]} rows, x has {n}")
+    return y, z
+
+
+def as_xyz(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, z) as columns sharing x's row count; see :func:`as_yz`."""
+    x = as_columns(x)
+    return (x, *as_yz(y, z, x.shape[0]))
 
 
 @dataclass(frozen=True)
 class SurrogateBatch:
     """The surrogate draws of one permutation test for an (n, d) column block.
 
-    Row ``i`` of the (draws, n) ``index_matrix`` gathers draw ``i`` from
-    ``columns``. ``blocks`` are the (start, stop) rows of the replications,
-    and each draw either rotates every block right by its own offset
-    (``CIRCULAR_SHIFT``) or reorders whole equal-length blocks
-    (``REPLICATION_SHUFFLE``). Every draw is therefore a row permutation of
-    ``columns``, and its structure can be read off the block-start columns of
-    the index matrix without gathering any rows.
+    ``columns`` are read through :func:`as_columns`. Row ``i`` of the
+    (draws, n) ``index_matrix`` gathers draw ``i`` from ``columns``. ``blocks`` are
+    the (start, stop) rows of the replications, and each draw either rotates
+    every block right by its own offset (``CIRCULAR_SHIFT``) or reorders whole
+    equal-length blocks (``REPLICATION_SHUFFLE``). Every draw is therefore a
+    row permutation of ``columns``, and its structure can be read off the
+    block-start columns of the index matrix without gathering any rows.
 
     The block holds one or more candidates of ``width`` columns each (by
     default one candidate of the full width), and every candidate shares the
@@ -66,8 +92,7 @@ class SurrogateBatch:
     def __post_init__(self):
         if self.method not in SURROGATE_METHODS:
             raise StatsError(f"unknown surrogate method {self.method!r}")
-        if np.ndim(self.columns) != 2:
-            raise StatsError("surrogate columns must be a 2-D (n, d) block")
+        object.__setattr__(self, "columns", as_columns(self.columns))
         total = self.columns.shape[1]
         if self.width is None:
             object.__setattr__(self, "width", total)

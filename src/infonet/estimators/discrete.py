@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError, EstimatorError, StateSpaceTooLargeError
-from .base import Estimator, InfoValue, as_columns
+from .base import Estimator, InfoValue, as_columns, as_xyz
 
 _LN2 = math.log(2.0)
 
@@ -107,15 +107,12 @@ def plugin_entropy(counts: JointCounts) -> InfoValue:
     return InfoValue(value=value, local=local)
 
 
-def _group_log_probs(
-    cols: np.ndarray,
-    alphabet_sizes: tuple[int, ...],
-    cap: int,
-) -> np.ndarray:
-    """log2 empirical probability of each row's symbol tuple."""
+def _group_log_probs(parts: list[np.ndarray], alphabet_size: int, cap: int) -> np.ndarray:
+    """log2 empirical probability of each row's symbol tuple over the joined parts."""
+    cols = np.concatenate(parts, axis=1)
     if cols.shape[1] == 0:
         return np.zeros(cols.shape[0])
-    keys = _encode_columns(cols, alphabet_sizes, cap)
+    keys = _encode_columns(cols, (alphabet_size,) * cols.shape[1], cap)
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     return np.log2(counts[inverse] / cols.shape[0])
 
@@ -133,26 +130,13 @@ def plugin_cmi(
     per-observation log-ratios; their mean equals the entropy combination
     exactly.
     """
-    xi = _as_int_columns(x)
-    yi = _as_int_columns(y)
-    n = xi.shape[0]
-    zi = _as_int_columns(z) if z is not None and np.size(z) else np.zeros((n, 0), dtype=np.int64)
-    if yi.shape[0] != n or zi.shape[0] != n:
-        raise EstimatorError("x, y, z must share the observation axis")
+    xi, yi, zi = (_as_int_columns(cols) for cols in as_xyz(x, y, z))
     a = int(alphabet_size)
-    sizes_x = (a,) * xi.shape[1]
-    sizes_y = (a,) * yi.shape[1]
-    sizes_z = (a,) * zi.shape[1]
-    # One cap check over the largest joint space.
-    _encode_columns(
-        np.concatenate([xi, yi, zi], axis=1), sizes_x + sizes_y + sizes_z, state_cap
-    )
-    lp_xz = _group_log_probs(np.concatenate([xi, zi], axis=1), sizes_x + sizes_z, state_cap)
-    lp_yz = _group_log_probs(np.concatenate([yi, zi], axis=1), sizes_y + sizes_z, state_cap)
-    lp_z = _group_log_probs(zi, sizes_z, state_cap)
-    lp_xyz = _group_log_probs(
-        np.concatenate([xi, yi, zi], axis=1), sizes_x + sizes_y + sizes_z, state_cap
-    )
+    # The full joint is the largest space, so its encoding is the cap check.
+    lp_xyz = _group_log_probs([xi, yi, zi], a, state_cap)
+    lp_xz = _group_log_probs([xi, zi], a, state_cap)
+    lp_yz = _group_log_probs([yi, zi], a, state_cap)
+    lp_z = _group_log_probs([zi], a, state_cap)
     local = lp_xyz + lp_z - lp_xz - lp_yz
     return InfoValue(value=float(local.mean()), local=local)
 

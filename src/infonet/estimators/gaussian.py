@@ -7,7 +7,10 @@ singularity check: a block is singular when its factorization fails or when
 one of its columns keeps less than ``_PIVOT_SHARE`` of its variance after
 regression on the columns before it.
 
-One rule covers singular blocks, for single values and batches alike: a
+One rule covers degenerate input, for single values and batches alike. A
+NaN or infinite value raises ``InvalidValueError`` before any covariance is
+formed (see :func:`~infonet.estimators.base.as_xyz`); it would otherwise
+give a NaN factor, count as singular and score 0. For singular blocks: a
 singular conditioning block (z) raises ``SingularCovarianceError``; a
 singular (x, z) or (y, z) block means that side is a linear function of z,
 so the value is exactly 0; a singular full joint with healthy sides means x
@@ -34,8 +37,8 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..errors import EstimatorError, InsufficientSamplesError, SingularCovarianceError
-from .base import CIRCULAR_SHIFT, Estimator, InfoValue, SurrogateBatch, as_columns
+from ..errors import DataError, EstimatorError, InsufficientSamplesError, SingularCovarianceError
+from .base import CIRCULAR_SHIFT, Estimator, InfoValue, SurrogateBatch, as_columns, as_xyz, as_yz
 
 _LN2 = math.log(2.0)
 _NEGATIVE_SLACK = -1e-9
@@ -67,22 +70,39 @@ def _cholesky(stack: np.ndarray) -> np.ndarray:
     Each pivot is a diagonal entry minus a sum of squares, so a member with a
     diagonal entry that is not positive (a constant column) fails and is not
     tried. The rest are factorized in one call. Only when that call fails are
-    its two halves retried the same way, so that one singular member neither
-    hides the others nor sends a whole max-test stack member by member; each
-    member's factor is the one it gets alone.
+    its two halves retried, so that one singular member neither hides the
+    others nor sends a whole max-test stack member by member. When both
+    halves fail as well, failures are dense and the members are tried one at
+    a time, at one call each. Each member's factor is the one it gets alone.
     """
     tried = (stack.diagonal(0, 1, 2) > 0).all(axis=1)
     if not tried.all():
         factors = np.full_like(stack, np.nan)
         factors[tried] = _cholesky(stack[tried])
         return factors
+    factors = _try_cholesky(stack)
+    return _failed_cholesky(stack) if factors is None else factors
+
+
+def _try_cholesky(stack: np.ndarray) -> np.ndarray | None:
     try:
         return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        if len(stack) == 1:
-            return np.full_like(stack, np.nan)
-        half = len(stack) // 2
-        return np.concatenate([_cholesky(stack[:half]), _cholesky(stack[half:])])
+        return None
+
+
+def _failed_cholesky(stack: np.ndarray) -> np.ndarray:
+    """Factors of a stack whose one-call factorization failed; see :func:`_cholesky`."""
+    if len(stack) == 1:
+        return np.full_like(stack, np.nan)
+    parts = np.split(stack, [len(stack) // 2])
+    factors = [_try_cholesky(part) for part in parts]
+    if factors[0] is None and factors[1] is None:
+        parts = np.split(stack, len(stack))
+        factors = [_try_cholesky(part) for part in parts]
+    return np.concatenate(
+        [_failed_cholesky(part) if f is None else f for f, part in zip(factors, parts)]
+    )
 
 
 def _column_means(data: np.ndarray) -> np.ndarray:
@@ -172,12 +192,8 @@ def gaussian_cmi(x, y, z=None, with_local: bool = True) -> InfoValue:
     recovers the determinant form identically; a value that is 0 by the
     degeneracy rule (see the module docstring) has all-zero locals.
     """
-    x = as_columns(x)
-    y = as_columns(y)
-    z = as_columns(z) if z is not None and np.size(z) else np.empty((x.shape[0], 0))
+    x, y, z = as_xyz(x, y, z)
     n = x.shape[0]
-    if y.shape[0] != n or z.shape[0] != n:
-        raise EstimatorError("x, y, z must share the observation axis")
     # The measure is symmetric in (x, y); fixing a canonical internal order
     # makes the float result exactly symmetric too.
     if (y.shape[1], y.tobytes()) < (x.shape[1], x.tobytes()):
@@ -213,14 +229,17 @@ def gaussian_mi(x, y, with_local: bool = True) -> InfoValue:
 
 
 def _as_batch(x_batch) -> np.ndarray:
+    """An (m, n, dx) stack of finite floats; an (m, n) stack has one column per member."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
+    if x_batch.ndim not in (2, 3):
+        raise DataError(f"expected an (m, n) or (m, n, dx) stack, got shape {x_batch.shape}")
+    as_columns(x_batch.ravel())  # raises on a NaN or infinite value
     return x_batch[:, :, np.newaxis] if x_batch.ndim == 2 else x_batch
 
 
 def _centered_fixed(y, z, n: int, dx: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The centered (y, z) columns shared by a batch, their covariance and the width of y."""
-    y = as_columns(y)
-    z = as_columns(z) if z is not None and np.size(z) else np.empty((n, 0))
+    y, z = as_yz(y, z, n)
     _check_samples(n, dx + y.shape[1] + z.shape[1])
     fixed = np.concatenate([y, z], axis=1)
     fixed_c = fixed - _column_means(fixed)
@@ -301,7 +320,7 @@ class GaussianEstimator(Estimator):
         own covariance and the shared (y, z) block, factorized once. Values
         match :func:`gaussian_cmi_batch` on the gathered members to rounding.
         """
-        columns = as_columns(x_batch.columns)
+        columns = x_batch.columns
         n, width = columns.shape[0], x_batch.width
         draws, candidates = x_batch.n_draws, x_batch.n_candidates
         fixed_c, s_ff, dy = _centered_fixed(y, z, n, width)
@@ -338,7 +357,7 @@ class GaussianEstimator(Estimator):
         concatenating default to rounding; the order of a group's blocks
         does not matter here.
         """
-        parts = [[as_columns(a) for a in block] for block in blocks]
+        parts = [as_xyz(*block) for block in blocks]
         dx, dy = parts[0][0].shape[1], parts[0][1].shape[1]
         rows = np.concatenate([np.concatenate(block, axis=1) for block in parts])
         centered = rows - _column_means(rows)

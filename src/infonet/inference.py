@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Realization, VariableRef, embed, normalize
-from .errors import DataError, DegenerateTargetError, InferenceError
+from .errors import DataError, DegenerateTargetError, InferenceError, InfonetError
 from .estimators import (
     DEFAULT_STATE_CAP,
     DiscreteEstimator,
@@ -523,18 +523,29 @@ def _links_from_target(result: TargetResult) -> list[tuple[int, int, float, int,
 def infer_network(
     dataset: Dataset, settings: InferenceSettings, threads: int = 1
 ) -> NetworkResult:
-    """Run every target and assemble the FDR-corrected link structure."""
+    """Run every target and assemble the FDR-corrected link structure.
+
+    A failing target stops the run with its error's type and a ``target {t}: ``
+    message prefix; with several failing targets, the first in target order.
+    """
     dataset = prepare_dataset(dataset, settings)
     targets = list(range(dataset.n_processes))
     if dataset.n_processes > 1 or settings.is_te_mode:
         # Fail before any target runs, not after the others have finished.
         for t in targets:
             _check_target(dataset, t)
+
+    def run(t: int) -> TargetResult:
+        try:
+            return infer_target(dataset, t, settings)
+        except InfonetError as err:
+            raise type(err)(f"target {t}: {err}") from err
+
     if threads > 1 and len(targets) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: infer_target(dataset, t, settings), targets))
+            results = list(pool.map(run, targets))
     else:
-        results = [infer_target(dataset, t, settings) for t in targets]
+        results = [run(t) for t in targets]
 
     raw_links: list[tuple[int, int, float, int, float]] = []
     for res in results:

@@ -42,6 +42,7 @@ from .estimators.base import (
     Estimator,
     SurrogateBatch,
     as_columns,
+    as_yz,
 )
 from .seeding import rng_for
 
@@ -234,11 +235,7 @@ def min_statistic_test(
         raise StatsError("min-statistic test needs at least one selected variable")
     _check_rows(selected_columns, y, z_base, rep_ids)
     check_permutation_count(n_perm, alpha)
-    base = (
-        np.asarray(z_base, dtype=np.float64)
-        if z_base is not None and np.size(z_base)
-        else np.empty((selected_columns.shape[0], 0))
-    )
+    base = as_yz(y, z_base, selected_columns.shape[0])[1]
 
     def conditioning(j: int) -> np.ndarray:
         others = np.delete(selected_columns, j, axis=1)

@@ -14,12 +14,14 @@ from infonet import (
     gaussian_cmi,
     gaussian_mi,
 )
+from infonet.estimators import gaussian
 from infonet.estimators.base import SurrogateBatch
 from infonet.estimators.gaussian import _factorize, gaussian_cmi_batch
 from infonet.stats import (
     CIRCULAR_SHIFT,
     REPLICATION_SHUFFLE,
     SurrogatePolicy,
+    omnibus_test,
     replication_blocks,
     surrogate_index_matrix,
     surrogate_indices,
@@ -458,27 +460,58 @@ class TestMultiCandidateBatch:
 
 class TestFactorize:
     def test_halving_fallback_equals_member_by_member(self):
-        rng = np.random.default_rng(31)
-        m, d = 37, 4
-        a = rng.normal(size=(m, d + 3, d))
-        stack = np.einsum("mnd,mne->mde", a, a)
-        stack[[0, 9, 36], 2, :] = 0.0  # a constant column: a zero row and column
-        stack[[0, 9, 36], :, 2] = 0.0
-        stack[17] = -stack[17]
-        # Positive diagonals, but the second pivot is negative: only the call finds these.
-        for i in (10, 11, 23, 30):
-            stack[i, 0, 1] = stack[i, 1, 0] = 3.0 * np.sqrt(stack[i, 0, 0] * stack[i, 1, 1])
-        factors, logdets, singular = _factorize(stack)
-        for i, matrix in enumerate(stack):
-            try:
-                expected = np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                expected = np.full_like(matrix, np.nan)
-            assert np.array_equal(factors[i], expected, equal_nan=True)
-            single = _factorize(matrix[np.newaxis])
-            assert np.array_equal(logdets[i], single[1][0], equal_nan=True)
-            assert singular[i] == single[2][0]
-        assert singular.tolist() == [i in (0, 9, 10, 11, 17, 23, 30, 36) for i in range(m)]
+        # Failures in both halves of the tried members, then in one eighth of them.
+        for failing in [(10, 11, 23, 30), (2, 5)]:
+            rng = np.random.default_rng(31)
+            m, d = 37, 4
+            a = rng.normal(size=(m, d + 3, d))
+            stack = np.einsum("mnd,mne->mde", a, a)
+            stack[[0, 9, 36], 2, :] = 0.0  # a constant column: a zero row and column
+            stack[[0, 9, 36], :, 2] = 0.0
+            stack[17] = -stack[17]
+            # Positive diagonals, but the second pivot is negative: only the call finds these.
+            for i in failing:
+                stack[i, 0, 1] = stack[i, 1, 0] = 3.0 * np.sqrt(stack[i, 0, 0] * stack[i, 1, 1])
+            factors, logdets, singular = _factorize(stack)
+            for i, matrix in enumerate(stack):
+                try:
+                    expected = np.linalg.cholesky(matrix)
+                except np.linalg.LinAlgError:
+                    expected = np.full_like(matrix, np.nan)
+                assert np.array_equal(factors[i], expected, equal_nan=True)
+                single = _factorize(matrix[np.newaxis])
+                assert np.array_equal(logdets[i], single[1][0], equal_nan=True)
+                assert singular[i] == single[2][0]
+            assert singular.tolist() == [i in (0, 9, 17, 36, *failing) for i in range(m)]
+
+    def test_dense_failures_take_about_one_call_per_member(self, monkeypatch):
+        # A collinear source block fails in every draw of its omnibus null.
+        rng = np.random.default_rng(32)
+        n, draws = 1500, 200
+        s = rng.normal(size=n)
+        x = np.column_stack([s, 2.0 * s])
+        y = 0.5 * s[:, np.newaxis] + rng.normal(size=(n, 1))
+        args = (x, y, None, np.zeros(n, dtype=int), GaussianEstimator())
+        policy = SurrogatePolicy(min_shift=2, seed=4)
+
+        def member_by_member(stack):
+            factors = np.full_like(stack, np.nan)
+            for i, matrix in enumerate(stack):
+                try:
+                    factors[i] = np.linalg.cholesky(matrix)
+                except np.linalg.LinAlgError:
+                    pass
+            return factors
+
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        result = omnibus_test(*args, policy, draws, 0.05)
+        # One observed value, the shared (y, z) block, then two failing
+        # stacks of `draws` members at most three calls above one per member.
+        assert len(calls) <= 3 + 1 + 2 * (draws + 3)
+        monkeypatch.setattr(gaussian, "_cholesky", member_by_member)
+        assert omnibus_test(*args, policy, draws, 0.05) == result
 
 
 @st.composite

@@ -20,7 +20,7 @@ from infonet import (
     select_target_past,
 )
 from infonet import inference
-from infonet.errors import InferenceError
+from infonet.errors import InferenceError, SingularCovarianceError
 
 
 def _white_noise(n_processes, n_samples, seed):
@@ -354,6 +354,28 @@ class TestInferNetwork:
         ds = _coupled(32, n=2000)
         settings = InferenceSettings(seed=33)
         assert infer_network(ds, settings) == infer_network(ds, settings)
+
+
+class TestFailedTarget:
+    """A failing target stops the run with its own error type, named by target."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_names_the_target(self, monkeypatch, threads):
+        run_prune = inference.prune
+
+        def failing(ws, selected, conditioning):
+            if ws.target == 1:
+                raise SingularCovarianceError("conditioning covariance is singular")
+            return run_prune(ws, selected, conditioning)
+
+        monkeypatch.setattr(inference, "prune", failing)
+        settings = InferenceSettings(
+            seed=33, n_perm_max=50, n_perm_min=50, n_perm_omnibus=50, n_perm_seq=50
+        )
+        with pytest.raises(
+            SingularCovarianceError, match="^target 1: conditioning covariance is singular$"
+        ):
+            infer_network(_white_noise(3, 600, 32), settings, threads=threads)
 
 
 class TestEstimatorAgreement:

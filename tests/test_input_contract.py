@@ -1,0 +1,114 @@
+"""One input contract for every estimator entry point.
+
+Each entry point reads (x, y, z) as 2-D columns of finite floats sharing one
+row count. A NaN or infinite value raises ``InvalidValueError``, differing
+row counts ``EstimatorError`` naming both, and input of more than two
+dimensions ``DataError``: none of them may score 0 bits or fail inside numpy.
+"""
+
+import numpy as np
+import pytest
+
+from infonet import (
+    DataError,
+    DiscreteEstimator,
+    EstimatorError,
+    GaussianEstimator,
+    InvalidValueError,
+    KnnEstimator,
+    KnnSettings,
+    SurrogatePolicy,
+    gaussian_cmi,
+    knn_cmi,
+    knn_mi,
+    plugin_cmi,
+)
+from infonet.estimators.base import SurrogateBatch
+from infonet.estimators.gaussian import gaussian_cmi_batch
+from infonet.stats import replication_blocks, surrogate_index_matrix
+
+N = 120
+
+
+def _surrogates(x, y, z):
+    rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=2)
+    index = surrogate_index_matrix(rep_ids, policy, 3)
+    batch = SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)
+    return GaussianEstimator().cmi_surrogate_batch(batch, y, z)
+
+
+def _groups(x, y, z):
+    # Each argument is split at its own midpoint, so mismatched rows stay mismatched.
+    blocks = list(zip(*(np.array_split(a, 2) for a in (x, y, z))))
+    return GaussianEstimator().group_cmis(blocks, [[0, 1], [1]])
+
+
+# name -> (entry point, takes z, needs integer data)
+ENTRY_POINTS = {
+    "gaussian_cmi": (gaussian_cmi, True, False),
+    "gaussian_cmi_batch": (lambda x, y, z: gaussian_cmi_batch(x[np.newaxis], y, z), True, False),
+    "cmi_value": (GaussianEstimator().cmi_value, True, False),
+    "candidates_cmi": (GaussianEstimator().candidates_cmi, True, False),
+    "cmi_surrogate_batch": (_surrogates, True, False),
+    "group_cmis": (_groups, True, False),
+    "knn_mi": (lambda x, y, z: knn_mi(x, y, KnnSettings(k=3)), False, False),
+    "knn_cmi": (lambda x, y, z: knn_cmi(x, y, z, KnnSettings(k=3)), True, False),
+    "knn_cmi_value": (KnnEstimator(KnnSettings(k=3)).cmi_value, True, False),
+    "plugin_cmi": (plugin_cmi, True, True),
+    "discrete_cmi_value": (DiscreteEstimator(2).cmi_value, True, True),
+}
+
+
+def _set(value):
+    def corrupt(a):
+        a = a.copy()
+        a[N // 3, 0] = value
+        return a
+
+    return corrupt
+
+
+# name -> (argument, corruption, error, message pattern)
+BAD_INPUTS = {
+    "nan_x": ("x", _set(np.nan), InvalidValueError, "1 NaN or infinite"),
+    "inf_y": ("y", _set(np.inf), InvalidValueError, "1 NaN or infinite"),
+    "neg_inf_z": ("z", _set(-np.inf), InvalidValueError, "1 NaN or infinite"),
+    "nan_z": ("z", _set(np.nan), InvalidValueError, "1 NaN or infinite"),
+    "short_y": ("y", lambda a: a[:-10], EstimatorError, r"y has \d+ rows, x has \d+"),
+    "short_z": ("z", lambda a: a[:-10], EstimatorError, r"z has \d+ rows, x has \d+"),
+    "x_3d": ("x", lambda a: a[:, :, np.newaxis], DataError, "shape"),
+    "y_3d": ("y", lambda a: a[:, :, np.newaxis], DataError, "shape"),
+    "z_3d": ("z", lambda a: a[:, :, np.newaxis], DataError, "shape"),
+}
+
+
+def _data(discrete: bool) -> dict:
+    """Valid (x, y, z), keyed by argument name."""
+    rng = np.random.default_rng(12)
+    if discrete:
+        x, y, z = (rng.integers(0, 2, size=(N, 1)).astype(np.float64) for _ in range(3))
+    else:
+        z = rng.normal(size=(N, 1))
+        x = rng.normal(size=(N, 1)) + 0.5 * z
+        y = 0.6 * x + rng.normal(size=(N, 1))
+    return {"x": x, "y": y, "z": z}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_valid_input_gives_finite_values(entry):
+    call, _, discrete = ENTRY_POINTS[entry]
+    values = call(*_data(discrete).values())
+    assert np.all(np.isfinite(getattr(values, "value", values)))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bad_input_raises_a_typed_error(entry, case):
+    call, takes_z, discrete = ENTRY_POINTS[entry]
+    argument, corrupt, error, pattern = BAD_INPUTS[case]
+    if argument == "z" and not takes_z:
+        pytest.skip("no z argument")
+    data = _data(discrete)
+    data[argument] = corrupt(data[argument])
+    with pytest.raises(error, match=pattern):
+        call(*data.values())

@@ -15,7 +15,7 @@ from infonet import (
     min_statistic_test,
     omnibus_test,
 )
-from infonet.errors import InsufficientReplicationsError, StatsError
+from infonet.errors import InsufficientReplicationsError, InvalidValueError, StatsError
 from infonet.estimators import DiscreteEstimator, KnnEstimator, KnnSettings
 from infonet.estimators.base import SurrogateBatch
 from infonet.stats import (
@@ -282,6 +282,16 @@ class TestArgumentChecks:
         y = 0.8 * x[:, None] + rng.normal(size=(300, 1))
         observed = estimator.candidates_cmi(x, y, None)
         assert observed.tolist() == estimator.candidates_cmi(x[:, None], y, None).tolist()
+
+    @pytest.mark.parametrize("test", sorted(_TESTS))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_column_rejected(self, test, value):
+        rng = np.random.default_rng(84)
+        columns = rng.normal(size=(300, 2))
+        y = columns[:, :1] + rng.normal(size=(300, 1))
+        columns[7, 1] = value
+        with pytest.raises(InvalidValueError, match="1 NaN or infinite"):
+            _TESTS[test](columns, y, None, np.zeros(300, dtype=int))
 
     def test_one_dimensional_column_needs_one_observed_value(self):
         x = np.random.default_rng(82).normal(size=300)
