@@ -98,6 +98,16 @@ class SurrogateBatch:
             object.__setattr__(self, "width", total)
         if self.width < 1 or total % self.width:
             raise StatsError(f"{total} columns do not split into candidates of width {self.width}")
+        n = self.columns.shape[0]
+        if np.ndim(self.index_matrix) != 2 or np.shape(self.index_matrix)[1] != n:
+            raise StatsError(
+                f"index matrix of shape {np.shape(self.index_matrix)} does not gather {n} rows"
+            )
+        starts, stops = [start for start, _ in self.blocks], [stop for _, stop in self.blocks]
+        if not stops or starts != [0, *stops[:-1]] or stops[-1] != n or any(
+            start >= stop for start, stop in self.blocks
+        ):
+            raise StatsError(f"blocks {self.blocks} do not tile rows 0..{n}")
 
     @property
     def n_draws(self) -> int:
@@ -132,19 +142,20 @@ class Estimator:
     """Common driver interface used by inference and the permutation tests.
 
     Concrete estimators implement ``cmi`` (full result with locals) and may
-    override ``cmi_value`` (scalar fast path). ``cmi_surrogate_batch`` evaluates the
-    same conditional mutual information for a stack of replacement
-    first-argument columns, and ``group_cmis`` for many unions of
-    replication blocks; the defaults loop, the Gaussian estimator
-    vectorizes both.
+    override ``cmi_value`` (scalar fast path). ``cmis`` evaluates the same
+    conditional mutual information for many replacement first arguments of
+    one width against one fixed (y, z), and ``group_cmis`` for many unions
+    of replication blocks; the defaults loop over ``cmi_value``, so they
+    equal the scalar path exactly.
 
-    ``cmi_surrogate_batch`` takes a :class:`SurrogateBatch`, the draws of one
-    permutation test for one or more equal-width candidates, and returns one
-    value per member, in the batch's member order (candidate-major). The
-    default gathers the members one at a time and calls ``cmi_value``, so it
-    equals the scalar path exactly. An override may use the structure of the
-    draws instead: the Gaussian one never gathers rows and shares the (y, z)
-    work across every candidate.
+    ``candidates_cmi`` (one member per column of a candidate matrix) and
+    ``cmi_surrogate_batch`` (one per member of a :class:`SurrogateBatch`, the
+    draws of one permutation test for one or more equal-width candidates, in
+    the batch's candidate-major member order) hand their members to ``cmis``.
+    An estimator that shares the (y, z) work across members overrides
+    ``cmis`` alone, as the kNN one does at small n. An override of the two
+    adapters may use more structure: the Gaussian surrogate one never
+    gathers rows and shares the (y, z) work across every candidate.
     """
 
     name = "base"
@@ -155,11 +166,24 @@ class Estimator:
     def cmi_value(self, x, y, z=None) -> float:
         return self.cmi(x, y, z).value
 
-    def cmi_surrogate_batch(self, x_batch: SurrogateBatch, y, z=None) -> np.ndarray:
-        out = np.empty(len(x_batch), dtype=np.float64)
-        for i in range(len(x_batch)):
-            out[i] = self.cmi_value(x_batch[i], y, z)
+    def cmis(self, xs, y, z=None) -> np.ndarray:
+        """CMI of each member of ``xs`` against one fixed (y, z).
+
+        ``xs`` is a sequence (``len`` and integer indexing) of x arguments
+        of one shape, such as a :class:`SurrogateBatch`; returns one value
+        per member, in order.
+        """
+        out = np.empty(len(xs), dtype=np.float64)
+        for i in range(len(xs)):
+            out[i] = self.cmi_value(xs[i], y, z)
         return out
+
+    def cmi_surrogate_batch(self, x_batch: SurrogateBatch, y, z=None) -> np.ndarray:
+        return self.cmis(x_batch, y, z)
+
+    def candidates_cmi(self, columns: np.ndarray, y, z=None) -> np.ndarray:
+        """CMI of each column of an (n, m) candidate matrix against (y, z)."""
+        return self.cmis(as_columns(columns).T[:, :, np.newaxis], y, z)
 
     def group_cmis(self, blocks, groups) -> np.ndarray:
         """CMI of each group of (x, y, z) blocks, pooled in the order given.
@@ -176,12 +200,4 @@ class Estimator:
                 np.concatenate([blocks[i][k] for i in members], axis=0) for k in range(3)
             )
             out[g] = self.cmi_value(x, y, z)
-        return out
-
-    def candidates_cmi(self, columns: np.ndarray, y, z=None) -> np.ndarray:
-        """CMI of each column of an (n, m) candidate matrix against (y, z)."""
-        columns = as_columns(columns)
-        out = np.empty(columns.shape[1], dtype=np.float64)
-        for j in range(columns.shape[1]):
-            out[j] = self.cmi_value(columns[:, j : j + 1], y, z)
         return out

@@ -48,6 +48,10 @@ _NEGATIVE_SLACK = -1e-9
 _PIVOT_SHARE = 1e-10
 # See _column_means; far above the rounding error of any mean.
 _MEAN_ROUNDING = 1e-9
+# Lags (block length x candidate columns x (y, z) columns) of one chunk of
+# _shifted_cross, 8 MiB of float64; the largest call of the gauss_net
+# benchmark workload reaches 148 005, so ordinary pools take one chunk.
+_CROSS_CELLS = 1 << 20
 
 
 def _factorize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,16 +272,22 @@ def _shifted_cross(xc, fixed_c, blocks, rotations) -> np.ndarray:
     A block rotated right by r pairs x row j with F row (j + r) mod length, so
     the block's cross-product at every r is the circular cross-correlation
     irfft(conj(rfft(x)) rfft(F)); each draw sums its blocks' values at their
-    rotations.
+    rotations. The x columns go through the inverse transform in chunks of
+    at most ``_CROSS_CELLS`` lags, which bounds memory at large n and many
+    candidates without changing any value.
     """
-    out = np.zeros((len(rotations), xc.shape[1], fixed_c.shape[1]))
+    df = fixed_c.shape[1]
+    out = np.zeros((len(rotations), xc.shape[1], df))
     for b, (start, stop) in enumerate(blocks):
+        length = stop - start
         spec_x = np.fft.rfft(xc[start:stop], axis=0).conj()
         spec_f = np.fft.rfft(fixed_c[start:stop], axis=0)
-        lags = np.fft.irfft(
-            spec_x[:, :, np.newaxis] * spec_f[:, np.newaxis, :], n=stop - start, axis=0
-        )
-        out += lags[rotations[:, b]]
+        step = max(_CROSS_CELLS // (length * df), 1)
+        for c in range(0, xc.shape[1], step):
+            lags = np.fft.irfft(
+                spec_x[:, c : c + step, np.newaxis] * spec_f[:, np.newaxis, :], n=length, axis=0
+            )
+            out[:, c : c + step] += lags[rotations[:, b]]
     return out
 
 

@@ -11,7 +11,17 @@ exact by construction.
 A NaN or infinite input raises ``InvalidValueError`` (see
 :mod:`~infonet.estimators.base`). Inputs are jittered with tiny uniform noise
 to break ties; a zero k-th-neighbor distance after jittering means duplicate
-points and raises ``DuplicatePointsError``.
+points and raises ``DuplicatePointsError``. The noise comes from one
+generator seeded by the settings, drawn for x, then y, then z, so calls
+that differ only in x add the same noise to y and z.
+
+``KnnEstimator.cmis``, behind every surrogate batch and candidate pool,
+uses that: while an (n, n) matrix fits in the neighbor module's
+``_BLOCK_CELLS``, it builds the (y,z) and (z) max-norm distance matrices
+once and per member only the (x) one, and takes radii and counts from the
+matrices (brute-force search at small n, as in Wollstadt et al. 2014). Its
+values are those of :func:`knn_cmi` bit for bit; above the bound it calls
+:func:`knn_cmi` per member.
 """
 
 from __future__ import annotations
@@ -23,9 +33,15 @@ import numpy as np
 from scipy.special import digamma
 
 from ..errors import DuplicatePointsError, EstimatorError
-from ..neighbors import NeighborIndex
+from ..neighbors import (
+    _BLOCK_CELLS,
+    NeighborIndex,
+    chebyshev_matrix,
+    dense_kth_distance,
+    dense_range_count,
+)
 from ..seeding import rng_for
-from .base import Estimator, InfoValue, as_xyz
+from .base import Estimator, InfoValue, as_columns, as_xyz
 
 _LN2 = math.log(2.0)
 
@@ -45,12 +61,28 @@ class KnnSettings:
             raise EstimatorError("noise_amplitude must be >= 0")
 
 
-def _jitter(parts: tuple[np.ndarray, ...], settings: KnnSettings) -> list[np.ndarray]:
+def _noise(shapes, settings: KnnSettings) -> list:
+    """Tie-breaking noise of each shape, drawn in order from one generator."""
     if settings.noise_amplitude == 0:
-        return list(parts)
+        return [0.0 for _ in shapes]
     rng = rng_for(settings.seed)
     amp = settings.noise_amplitude
-    return [p + rng.uniform(-amp, amp, size=p.shape) for p in parts]
+    return [rng.uniform(-amp, amp, size=shape) for shape in shapes]
+
+
+def _jitter(parts: tuple[np.ndarray, ...], settings: KnnSettings) -> list[np.ndarray]:
+    return [p + e for p, e in zip(parts, _noise([p.shape for p in parts], settings))]
+
+
+def _check_radii(radii: np.ndarray) -> None:
+    if np.any(radii == 0.0):
+        raise DuplicatePointsError("duplicate points after jitter; increase noise_amplitude")
+
+
+def _local_cmi(k: int, n_xz, n_yz, n_z) -> np.ndarray:
+    """Per-point CMI terms in bits from the (x,z), (y,z) and (z) neighbor counts."""
+    terms = digamma(k) - digamma(n_xz + 1.0) - digamma(n_yz + 1.0)
+    return (terms + digamma(n_z + 1.0)) / _LN2
 
 
 def _marginal_counts(block: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -67,18 +99,54 @@ def knn_cmi(x, y, z=None, settings: KnnSettings = KnnSettings()) -> InfoValue:
     """Conditional mutual information in bits; an empty z gives the mutual information."""
     x, y, z = _jitter(as_xyz(x, y, z), settings)
     radii = NeighborIndex(np.concatenate([x, y, z], axis=1)).member_kth_distance(settings.k)
-    if np.any(radii == 0.0):
-        raise DuplicatePointsError("duplicate points after jitter; increase noise_amplitude")
+    _check_radii(radii)
     n_xz = _marginal_counts(np.concatenate([x, z], axis=1), radii)
     n_yz = _marginal_counts(np.concatenate([y, z], axis=1), radii)
     n_z = _marginal_counts(z, radii) if z.shape[1] else len(z) - 1
-    terms = digamma(settings.k) - digamma(n_xz + 1.0) - digamma(n_yz + 1.0)
-    local = (terms + digamma(n_z + 1.0)) / _LN2
+    local = _local_cmi(settings.k, n_xz, n_yz, n_z)
     return InfoValue(value=float(local.mean()), local=local)
 
 
+def _dense_cmis(xs, x0: np.ndarray, y: np.ndarray, z: np.ndarray, settings: KnnSettings):
+    """:func:`knn_cmi` value of each member of ``xs`` from dense distance matrices.
+
+    The noise of y and z, and so the (y,z) and (z) matrices, are the same
+    for every member; each member adds the same x noise and builds only its
+    own (x) matrix. Every distance, radius and count equals the one the
+    neighbor index gives, so the values are bitwise those of ``knn_cmi``.
+    """
+    n, dx = x0.shape
+    noise_x, noise_y, noise_z = _noise([x0.shape, y.shape, z.shape], settings)
+    y, z = y + noise_y, z + noise_z
+    d_yz = chebyshev_matrix(np.concatenate([y, z], axis=1))
+    d_z = chebyshev_matrix(z) if z.shape[1] else None
+    d_x, joint = np.empty((n, n)), np.empty((n, n))
+    work = np.empty((n, n), dtype=bool)
+    out = np.empty(len(xs), dtype=np.float64)
+    for i in range(len(xs)):
+        x = x0 if i == 0 else as_columns(xs[i])
+        if x.shape != (n, dx):
+            raise EstimatorError(f"member {i} has shape {x.shape}, member 0 has {(n, dx)}")
+        chebyshev_matrix(x + noise_x, out=d_x)
+        radii = dense_kth_distance(np.maximum(d_x, d_yz, out=joint), settings.k)
+        _check_radii(radii)
+        if d_z is None:
+            n_z = n - 1
+        else:
+            n_z = dense_range_count(d_z, radii, work)
+            np.maximum(d_x, d_z, out=d_x)
+        n_xz = dense_range_count(d_x, radii, work)
+        n_yz = dense_range_count(d_yz, radii, work)
+        out[i] = _local_cmi(settings.k, n_xz, n_yz, n_z).mean()
+    return out
+
+
 class KnnEstimator(Estimator):
-    """Adapter exposing the k-NN estimator behind the common API."""
+    """Adapter exposing the k-NN estimator behind the common API.
+
+    ``cmis`` shares the (y, z) work across its members at small n; see the
+    module docstring.
+    """
 
     name = "knn"
 
@@ -90,3 +158,11 @@ class KnnEstimator(Estimator):
 
     def cmi_value(self, x, y, z=None) -> float:
         return knn_cmi(x, y, z, self.settings).value
+
+    def cmis(self, xs, y, z=None) -> np.ndarray:
+        if len(xs) == 0:
+            return np.zeros(0)
+        x0, y, z = as_xyz(xs[0], y, z)
+        if len(x0) ** 2 > _BLOCK_CELLS:
+            return super().cmis(xs, y, z)
+        return _dense_cmis(xs, x0, y, z, self.settings)

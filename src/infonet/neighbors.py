@@ -20,6 +20,11 @@ At small n this is a dense scan in C; at large n the band keeps it close to
 linear. k-th-neighbor distances use a ``scipy.spatial.cKDTree`` that is built
 on first use, so an index that only counts never builds one. Results are
 exact; the test suite checks them against a brute-force scan, ties included.
+
+For callers that query one small point set many times with different
+radii, :func:`chebyshev_matrix`, :func:`dense_kth_distance` and
+:func:`dense_range_count` give the same distances, k-th distances and
+counts from a full (n, n) distance matrix, under the same conventions.
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ from .errors import DataError, EstimatorError
 
 # Query-by-point cells of one Chebyshev distance block (512 KiB of float64).
 _BLOCK_CELLS = 1 << 16
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise EstimatorError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
 
 
 class NeighborIndex:
@@ -71,10 +81,6 @@ class NeighborIndex:
             raise DataError("query points must be finite")
         return q
 
-    def _check_k(self, k: int) -> None:
-        if not 1 <= k <= self.n - 1:
-            raise EstimatorError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={self.n}")
-
     def kth_distance(self, query: np.ndarray, k: int) -> np.ndarray | float:
         """Max-norm distance to the k-th nearest neighbor.
 
@@ -82,7 +88,7 @@ class NeighborIndex:
         itself, typically) is excluded from the count.
         """
         q = self._queries(query)
-        self._check_k(k)
+        _check_k(k, self.n)
         dist, _ = self._tree.query(q, k=k + 1, p=np.inf)
         # Column k is correct when the query coincides with a stored point
         # (self at distance 0 occupies column 0), column k-1 otherwise.
@@ -93,7 +99,7 @@ class NeighborIndex:
 
     def member_kth_distance(self, k: int) -> np.ndarray:
         """kth-neighbor distance for every stored point, self excluded."""
-        self._check_k(k)
+        _check_k(k, self.n)
         dist, _ = self._tree.query(self.points, k=k + 1, p=np.inf)
         return dist[:, k]
 
@@ -181,3 +187,34 @@ class NeighborIndex:
             d = cdist(q, self._sorted[c:min(c + step, b)], "chebyshev")
             counts += np.sum(d < r[:, None], axis=1, dtype=np.int32)
         return counts
+
+
+def chebyshev_matrix(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(n, n) max-norm distances between the rows of an (n, d >= 1) point set.
+
+    Each entry is ``max_i |p_i - q_i|``, exactly the value the index's
+    queries compare, and the diagonal is exactly 0. Written into ``out``
+    when given.
+    """
+    return cdist(points, points, "chebyshev", out=out)
+
+
+def dense_kth_distance(distances: np.ndarray, k: int) -> np.ndarray:
+    """k-th-neighbor distance of every member from its distance matrix, self excluded.
+
+    Partitions the rows of ``distances`` in place. A member sits at distance
+    0 from itself, so column ``k`` of its partitioned row is its k-th
+    neighbor, as in :meth:`NeighborIndex.member_kth_distance`.
+    """
+    _check_k(k, len(distances))
+    distances.partition(k, axis=1)
+    return distances[:, k].copy()
+
+
+def dense_range_count(distances: np.ndarray, radii: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Members strictly closer than each row's positive radius, self excluded.
+
+    ``work`` is a boolean buffer of the matrix's shape.
+    """
+    np.less(distances, radii[:, np.newaxis], out=work)
+    return np.count_nonzero(work, axis=1) - 1

@@ -412,6 +412,33 @@ class TestSurrogateBatch:
             gaussian_cmi_batch(_gathered(batch), y, z)
 
 
+class TestShiftedCrossChunks:
+    """Chunks of candidate columns give the full-width cross-correlations bit for bit."""
+
+    @pytest.mark.parametrize("length", [100, 997, 1495])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_forced_chunks_are_exact(self, monkeypatch, length, chunk):
+        rng = np.random.default_rng(length)
+        n_reps, candidates, df = 2, 7, 4
+        fixed = rng.normal(size=(n_reps * length, df))
+        x = rng.normal(size=(len(fixed), candidates)) + fixed[:, :1]
+        rep_ids = np.repeat(np.arange(n_reps), length)
+        batch = SurrogateBatch(
+            x,
+            surrogate_index_matrix(rep_ids, SurrogatePolicy(seed=4), 20),
+            tuple(replication_blocks(rep_ids)),
+            CIRCULAR_SHIFT,
+            width=1,
+        )
+        args = (x, fixed, batch.blocks, batch.rotations())
+        full = gaussian._shifted_cross(*args)
+        whole = GaussianEstimator().cmi_surrogate_batch(batch, fixed[:, :1], fixed[:, 1:])
+        monkeypatch.setattr(gaussian, "_CROSS_CELLS", chunk * length * df)
+        assert np.array_equal(gaussian._shifted_cross(*args), full)
+        chunked = GaussianEstimator().cmi_surrogate_batch(batch, fixed[:, :1], fixed[:, 1:])
+        assert chunked.tolist() == whole.tolist()
+
+
 @st.composite
 def _multi_candidate_cases(draw):
     """(batch, y, z, constant candidate or None) for a max test's whole pool."""

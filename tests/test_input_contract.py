@@ -30,11 +30,14 @@ from infonet.stats import replication_blocks, surrogate_index_matrix
 N = 120
 
 
-def _surrogates(x, y, z):
-    rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=2)
-    index = surrogate_index_matrix(rep_ids, policy, 3)
-    batch = SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)
-    return GaussianEstimator().cmi_surrogate_batch(batch, y, z)
+def _surrogates(estimator):
+    def call(x, y, z):
+        rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=2)
+        index = surrogate_index_matrix(rep_ids, policy, 3)
+        batch = SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)
+        return estimator.cmi_surrogate_batch(batch, y, z)
+
+    return call
 
 
 def _groups(x, y, z):
@@ -49,11 +52,13 @@ ENTRY_POINTS = {
     "gaussian_cmi_batch": (lambda x, y, z: gaussian_cmi_batch(x[np.newaxis], y, z), True, False),
     "cmi_value": (GaussianEstimator().cmi_value, True, False),
     "candidates_cmi": (GaussianEstimator().candidates_cmi, True, False),
-    "cmi_surrogate_batch": (_surrogates, True, False),
+    "cmi_surrogate_batch": (_surrogates(GaussianEstimator()), True, False),
     "group_cmis": (_groups, True, False),
     "knn_mi": (lambda x, y, z: knn_mi(x, y, KnnSettings(k=3)), False, False),
     "knn_cmi": (lambda x, y, z: knn_cmi(x, y, z, KnnSettings(k=3)), True, False),
     "knn_cmi_value": (KnnEstimator(KnnSettings(k=3)).cmi_value, True, False),
+    "knn_candidates_cmi": (KnnEstimator(KnnSettings(k=3)).candidates_cmi, True, False),
+    "knn_cmi_surrogate_batch": (_surrogates(KnnEstimator(KnnSettings(k=3))), True, False),
     "plugin_cmi": (plugin_cmi, True, True),
     "discrete_cmi_value": (DiscreteEstimator(2).cmi_value, True, True),
 }

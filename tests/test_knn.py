@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infonet import KnnEstimator, KnnSettings, SurrogatePolicy, gaussian_cmi, knn_cmi, knn_mi
+from infonet import (
+    DuplicatePointsError,
+    KnnEstimator,
+    KnnSettings,
+    SurrogatePolicy,
+    gaussian_cmi,
+    knn_cmi,
+    knn_mi,
+)
 from infonet.errors import EstimatorError
-from infonet.estimators.base import SurrogateBatch
+from infonet.estimators.base import CIRCULAR_SHIFT, REPLICATION_SHUFFLE, SurrogateBatch
+from infonet.neighbors import _BLOCK_CELLS
 from infonet.stats import replication_blocks, surrogate_index_matrix
 
 
@@ -41,8 +50,6 @@ class TestMutualInformation:
             knn_mi(x, y, KnnSettings(k=10))
 
     def test_duplicates_without_jitter_rejected(self):
-        from infonet import DuplicatePointsError
-
         x = np.repeat(np.arange(5.0), 5)[:, None]
         y = np.repeat(np.arange(5.0), 5)[:, None]
         with pytest.raises(DuplicatePointsError):
@@ -114,16 +121,25 @@ class TestAdapter:
         est = KnnEstimator(KnnSettings(k=4, seed=8))
         assert est.cmi_value(x, y, None) == est.cmi(x, y, None).value
 
-    def test_surrogate_batch_loops(self):
+    def test_surrogate_batch_matches_scalar_per_member(self):
         rng = np.random.default_rng(51)
         x, y = _gauss_pair(rng, 120, 0.5)
+        columns = np.concatenate([x, rng.normal(size=(120, 2))], axis=1)
         est = KnnEstimator(KnnSettings(k=3, seed=9))
         rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=9)
-        index = surrogate_index_matrix(rep_ids, policy, 2)
-        batch = SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)
-        vals = est.cmi_surrogate_batch(batch, y, None)
-        assert vals.shape == (2,)
-        assert vals[0] == est.cmi_value(batch[0], y, None)
+        index = surrogate_index_matrix(rep_ids, policy, 4)
+        blocks = tuple(replication_blocks(rep_ids))
+        for block in (x, columns):
+            batch = SurrogateBatch(block, index, blocks, policy.method, width=1)
+            vals = est.cmi_surrogate_batch(batch, y, None)
+            assert vals.shape == (block.shape[1] * 4,)
+            assert vals.tolist() == [est.cmi_value(batch[i], y, None) for i in range(len(batch))]
+
+    def test_members_must_share_a_shape(self):
+        rng = np.random.default_rng(52)
+        x, y = _gauss_pair(rng, 100, 0.5)
+        with pytest.raises(EstimatorError, match="member 1"):
+            KnnEstimator().cmis([x, x[:, [0, 0]]], y)
 
 
 @st.composite
@@ -157,3 +173,91 @@ class TestProperties:
         shuffled = z[:, rng.permutation(z.shape[1])]
         forward = knn_cmi(x, y, z, self._exact).value
         assert abs(forward - knn_cmi(x, y, shuffled, self._exact).value) <= 1e-12
+
+
+@st.composite
+def _shared_yz_cases(draw, loop: bool):
+    """(surrogate batch, y, z, settings) on either side of the dense bound."""
+    method = draw(st.sampled_from([CIRCULAR_SHIFT, REPLICATION_SHUFFLE]))
+    if loop:
+        shapes = [(3, 100)] if method == REPLICATION_SHUFFLE else [(1, 300), (3, 100)]
+        n_reps, length = draw(st.sampled_from(shapes))
+    else:
+        n_reps = draw(st.integers(1 if method == CIRCULAR_SHIFT else 2, 3))
+        length = draw(st.integers(12, 80))
+    n = n_reps * length
+    candidates, dx, dz = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(size=(n, candidates * dx + 1 + dz))
+    data[:, -1 - dz] += data[:, 0]
+    # On a coarse grid, distances tie and only the jitter orders them.
+    ties = draw(st.booleans())
+    if ties:
+        data = np.round(data, 1)
+    rep_ids = np.repeat(np.arange(n_reps), length)
+    policy = SurrogatePolicy(method, min_shift=2, seed=draw(st.integers(0, 999)))
+    index = surrogate_index_matrix(rep_ids, policy, draw(st.integers(1, 3)))
+    batch = SurrogateBatch(
+        data[:, : candidates * dx], index, tuple(replication_blocks(rep_ids)), method, width=dx
+    )
+    noise = KnnSettings().noise_amplitude
+    if not ties:
+        noise = draw(st.sampled_from([0.0, noise]))
+    k, seed = draw(st.integers(1, 5)), draw(st.integers(0, 99))
+    y, z = data[:, -1 - dz : data.shape[1] - dz], data[:, data.shape[1] - dz :]
+    return batch, y, z, KnnSettings(k=k, noise_amplitude=noise, seed=seed)
+
+
+class TestSharedYZ:
+    """The batch entry points equal ``knn_cmi`` member by member, bit for bit.
+
+    Below the dense bound (n * n <= _BLOCK_CELLS) the members share the
+    (y, z) distance matrices; above it they loop over ``knn_cmi``.
+    """
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["dense", "loop"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_knn_cmi_per_member(self, loop, data):
+        batch, y, z, knn_settings = data.draw(_shared_yz_cases(loop))
+        assert (len(y) ** 2 > _BLOCK_CELLS) == loop
+        est = KnnEstimator(knn_settings)
+        expected = [knn_cmi(batch[i], y, z, knn_settings).value for i in range(len(batch))]
+        assert est.cmi_surrogate_batch(batch, y, z).tolist() == expected
+        columns = batch.columns
+        expected = [
+            knn_cmi(columns[:, j : j + 1], y, z, knn_settings).value
+            for j in range(columns.shape[1])
+        ]
+        assert est.candidates_cmi(columns, y, z).tolist() == expected
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_duplicate_points_raise(self, n):
+        # A constant x is the same under every draw, and y and z repeat in pairs.
+        x = np.zeros((n, 1))
+        y = np.repeat(np.arange(n // 2.0), 2)[:, None]
+        z = np.repeat(np.arange(n // 2.0), 2)[:, None] ** 2
+        est = KnnEstimator(KnnSettings(k=1, noise_amplitude=0.0))
+        batch = _one_block_batch(x, 2)
+        with pytest.raises(DuplicatePointsError):
+            knn_cmi(x, y, z, est.settings)
+        with pytest.raises(DuplicatePointsError):
+            est.cmi_surrogate_batch(batch, y, z)
+        with pytest.raises(DuplicatePointsError):
+            est.candidates_cmi(x, y, z)
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_k_not_below_n(self, n):
+        rng = np.random.default_rng(53)
+        x, y = _gauss_pair(rng, n, 0.5)
+        est = KnnEstimator(KnnSettings(k=n))
+        with pytest.raises(EstimatorError, match="k must satisfy"):
+            est.cmi_surrogate_batch(_one_block_batch(x, 2), y, None)
+        with pytest.raises(EstimatorError, match="k must satisfy"):
+            est.candidates_cmi(x, y, None)
+
+
+def _one_block_batch(x, n_perm):
+    rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=1)
+    index = surrogate_index_matrix(rep_ids, policy, n_perm)
+    return SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)

@@ -471,6 +471,22 @@ class TestDefaultSurrogateBatch:
             expected = [estimator.cmi_value(batch[i], y, z) for i in range(len(batch))]
             assert values.tolist() == expected
 
+    @pytest.mark.parametrize(
+        "estimator", [GaussianEstimator(), KnnEstimator(), DiscreteEstimator(alphabet_size=2)]
+    )
+    @pytest.mark.parametrize(
+        "index_shape, blocks",
+        [((3, 120), ((0, 120),)), ((120,), ((0, 100),)), ((3, 100), ((0, 40), (50, 100)))],
+        ids=["long_index", "one_draw_1d", "gap_between_blocks"],
+    )
+    def test_index_and_blocks_must_fit_the_rows(self, estimator, index_shape, blocks):
+        columns = np.arange(100.0)[:, np.newaxis] % 2
+        index = np.zeros(index_shape, dtype=np.int64)
+        with pytest.raises(StatsError, match="rows"):
+            estimator.cmi_surrogate_batch(
+                SurrogateBatch(columns, index, blocks, CIRCULAR_SHIFT), columns, None
+            )
+
     def test_width_must_divide_the_block(self):
         index = np.zeros((2, 10), dtype=np.int64)
         with pytest.raises(StatsError, match="width 2"):
