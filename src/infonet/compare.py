@@ -158,8 +158,9 @@ def compare_networks(
         blocks = _per_replication_blocks(data_a, structure, max_lag)
         blocks += _per_replication_blocks(data_b, structure, max_lag)
         groups = [range(r_a), range(r_a, total)]
-        for draw in range(n_perm):
-            perm = rng_for(seed, PHASE_COMPARE, link_no, draw).permutation(total)
+        rng = rng_for(seed, PHASE_COMPARE, link_no)
+        for _ in range(n_perm):
+            perm = rng.permutation(total)
             groups += [perm[:r_a], perm[r_a:]]
         values = estimator.group_cmis(blocks, groups)
         stat_a, stat_b = float(values[0]), float(values[1])

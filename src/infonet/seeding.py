@@ -1,8 +1,9 @@
 """Deterministic seed derivation.
 
 One master seed drives every random decision in an analysis. Sub-streams are
-derived by hashing an integer path (target index, phase tag, step index, draw
-index) through ``numpy.random.SeedSequence``, so results never depend on
+derived by hashing an integer path (target index, phase tag, step index)
+through ``numpy.random.SeedSequence``; one permutation test draws all of its
+surrogates from the generator of its path, so results never depend on
 evaluation order or thread count.
 """
 

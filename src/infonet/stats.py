@@ -3,21 +3,24 @@
 Every p-value uses the count formula (c + 1) / (n_permutations + 1) with ties
 counted as exceedances, so p is never zero and the tests stay valid under the
 null; a non-finite statistic or null value raises instead of counting as a
-miss. Surrogates are deterministic functions of (policy seed, draw index):
-within one permutation draw, every column shares the same per-replication
-offsets, which keeps results independent of evaluation order and makes the
-joint (omnibus) surrogation a special case of the same machinery.
+miss. A test draws all of its surrogates from one generator seeded by the
+policy seed, so results stay independent of evaluation order and thread
+count. Draw ``i`` takes the ``i``-th offsets (or block order) from that
+stream, so the first k draws of an n-draw test equal the draws of a k-draw
+test. Within one draw, every column shares the same per-replication offsets,
+which makes the joint (omnibus) surrogation a special case of the same
+machinery.
 
 A test builds its surrogates once, as an (n_permutations, n) index matrix:
-the replication blocks of its rows are derived once, then each draw makes its
-own generator and offsets (a replication shuffle reorders whole rows of the
-(blocks, length) grid). The estimator gets them as a :class:`SurrogateBatch`
-holding a column block, the index matrix, the blocks and the method, with
-every draw in one ``Estimator.cmi_surrogate_batch`` call. A max test makes
-one call for its whole pool: every candidate column is one candidate of the
-batch, since all share (y, z). A min test makes one call per selected
-variable, whose conditioning differs, and the omnibus test one call for its
-joint block. The default estimator gathers one member at a time and calls
+the replication blocks of its rows are derived once, and one
+:func:`surrogate_indices` call draws every offset, or every block order of a
+replication shuffle, and builds the matrix with array operations. The
+estimator gets them as a :class:`SurrogateBatch` holding a column block, the
+index matrix, the blocks and the method, with every draw in one
+``Estimator.cmi_surrogate_batch`` call. A max test makes one call for its
+whole pool: every candidate column is one candidate of the batch, since all
+share (y, z). A min test makes one call per selected variable, whose
+conditioning differs, and the omnibus test one call for its joint block. The default estimator gathers one member at a time and calls
 its scalar estimate; the kNN one does too, but at small n shares the (y, z)
 neighbor distances across every member; the Gaussian one computes every
 member's cross-covariance without gathering rows.
@@ -93,44 +96,44 @@ def replication_blocks(rep_ids: np.ndarray) -> list[tuple[int, int]]:
 
 
 def surrogate_indices(
-    blocks: list[tuple[int, int]], policy: SurrogatePolicy, draw_index: int
+    blocks: list[tuple[int, int]], policy: SurrogatePolicy, n_perm: int
 ) -> np.ndarray:
-    """Gather indices realizing one surrogate draw over realization rows.
+    """Gather indices of a test's ``n_perm`` surrogate draws, as (n_perm, n).
 
     ``blocks`` are the replication blocks of the rows, from
-    :func:`replication_blocks`.
+    :func:`replication_blocks`; row ``i`` of the result gathers draw ``i``.
     """
-    rng = rng_for(policy.seed, draw_index)
-    n = blocks[-1][1]
+    lengths = np.array([stop - start for start, stop in blocks])
     if policy.method == CIRCULAR_SHIFT:
-        idx = np.empty(n, dtype=np.int64)
-        for start, stop in blocks:
-            length = stop - start
-            if length < 2 * policy.min_shift:
-                raise InsufficientSamplesError(
-                    f"replication of {length} rows too short for min_shift {policy.min_shift}"
-                )
-            offset = policy.min_shift + int(
-                rng.integers(0, length - 2 * policy.min_shift + 1)
+        short = lengths[lengths < 2 * policy.min_shift]
+        if short.size:
+            raise InsufficientSamplesError(
+                f"replication of {short[0]} rows too short for min_shift {policy.min_shift}"
             )
-            # Rotate the block right by offset: its last offset rows come first.
-            idx[start : start + offset] = np.arange(stop - offset, stop)
-            idx[start + offset : stop] = np.arange(start, stop - offset)
+        offsets = policy.min_shift + rng_for(policy.seed).integers(
+            0, lengths - 2 * policy.min_shift + 1, size=(n_perm, lengths.size)
+        )
+        block = np.repeat(np.arange(lengths.size), lengths)
+        # Rotate each block right by its offset: row j reads row j - offset,
+        # wrapped back into the block. Built in place, so the peak is one matrix.
+        idx = offsets[:, block]
+        np.subtract(np.arange(blocks[-1][1]), idx, out=idx)
+        first = np.repeat([start for start, _ in blocks], lengths)
+        np.add(idx, lengths[block], out=idx, where=idx < first)
         return idx
     if len(blocks) < 2:
         raise InsufficientReplicationsError("replication_shuffle needs at least 2 replications")
-    if len({stop - start for start, stop in blocks}) != 1:
+    if np.any(lengths != lengths[0]):
         raise StatsError("replication_shuffle requires equal-length replications")
-    order = rng.permutation(len(blocks))
-    return np.arange(n).reshape(len(blocks), -1)[order].ravel()
+    orders = rng_for(policy.seed).permuted(np.tile(np.arange(lengths.size), (n_perm, 1)), axis=1)
+    return (orders[:, :, np.newaxis] * lengths[0] + np.arange(lengths[0])).reshape(n_perm, -1)
 
 
 def surrogate_index_matrix(
     rep_ids: np.ndarray, policy: SurrogatePolicy, n_perm: int
 ) -> np.ndarray:
-    """Gather indices for draws 0..n_perm-1, stacked as (n_perm, n)."""
-    blocks = replication_blocks(rep_ids)
-    return np.stack([surrogate_indices(blocks, policy, d) for d in range(n_perm)], axis=0)
+    """Gather indices for draws 0..n_perm-1, as (n_perm, n)."""
+    return surrogate_indices(replication_blocks(rep_ids), policy, n_perm)
 
 
 def check_permutation_count(n_perm: int, alpha: float) -> None:
@@ -170,10 +173,11 @@ def _check_rows(columns: np.ndarray, y, z, rep_ids) -> None:
 
 def _surrogate_batches(rep_ids: np.ndarray, policy: SurrogatePolicy, n_perm: int):
     """A test's draws, built once: maps a column block to its :class:`SurrogateBatch`."""
+    blocks = replication_blocks(rep_ids)
     return partial(
         SurrogateBatch,
-        index_matrix=surrogate_index_matrix(rep_ids, policy, n_perm),
-        blocks=tuple(replication_blocks(rep_ids)),
+        index_matrix=surrogate_indices(blocks, policy, n_perm),
+        blocks=tuple(blocks),
         method=policy.method,
     )
 

@@ -144,7 +144,7 @@ class TestPinnedOutput:
             0.08591860288814314,
             0.11729716324269665,
             -0.03137856035455351,
-            0.12195121951219512,
+            0.17073170731707318,
         )
 
 

@@ -375,9 +375,9 @@ class TestSurrogateBatch:
     @given(_surrogate_cases())
     def test_equals_general_batch(self, case):
         batch, policy, y, z = case
+        index = surrogate_indices(list(batch.blocks), policy, batch.n_draws)
         for i in range(len(batch)):
-            expected = batch.columns[surrogate_indices(list(batch.blocks), policy, i)]
-            assert np.array_equal(batch[i], expected)
+            assert np.array_equal(batch[i], batch.columns[index[i]])
         assert np.array_equal(_regenerated_index(batch), batch.index_matrix)
         fast = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
         assert np.max(np.abs(fast - gaussian_cmi_batch(_gathered(batch), y, z))) <= 1e-12

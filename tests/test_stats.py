@@ -1,5 +1,7 @@
 """Surrogates, permutation tests and FDR: conventions and null behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from infonet import (
     min_statistic_test,
     omnibus_test,
 )
+from infonet import stats
 from infonet.errors import InsufficientReplicationsError, InvalidValueError, StatsError
 from infonet.estimators import DiscreteEstimator, KnnEstimator, KnnSettings
 from infonet.estimators.base import SurrogateBatch
@@ -34,16 +37,17 @@ def _policy(method=CIRCULAR_SHIFT, min_shift=1, seed=0):
 
 
 class TestSurrogates:
+    """Each row of a test's (n_perm, n) index matrix is one surrogate draw."""
+
     def test_rotation_definition(self):
         column = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         blocks = replication_blocks(np.zeros(5, dtype=int))
-        seen = set()
-        for draw in range(50):
-            out = column[surrogate_indices(blocks, _policy(min_shift=1, seed=3), draw)]
-            seen.add(tuple(out))
+        matrix = surrogate_indices(blocks, _policy(min_shift=1, seed=3), 50)
+        seen = {tuple(column[row]) for row in matrix}
         # every outcome is a rotation with offset in [1, 4]
         rotations = {tuple(np.roll(column, k)) for k in range(1, 5)}
         assert seen <= rotations
+        assert len(seen) > 1
         assert tuple(np.roll(column, 2)) in rotations  # offset 2 -> [4,5,1,2,3]
         assert tuple(np.roll(column, 2)) == (4.0, 5.0, 1.0, 2.0, 3.0)
 
@@ -51,42 +55,44 @@ class TestSurrogates:
         rng = np.random.default_rng(70)
         column = rng.normal(size=40)
         blocks = replication_blocks(np.repeat([0, 1], 20))
-        for draw in range(20):
-            out = column[surrogate_indices(blocks, _policy(min_shift=2, seed=1), draw)]
+        for row in surrogate_indices(blocks, _policy(min_shift=2, seed=1), 20):
+            out = column[row]
             assert np.array_equal(np.sort(out[:20]), np.sort(column[:20]))
             assert np.array_equal(np.sort(out[20:]), np.sort(column[20:]))
 
     def test_deterministic_per_draw(self):
-        rng = np.random.default_rng(71)
-        column = rng.normal(size=30)
         blocks = replication_blocks(np.zeros(30, dtype=int))
-        a = column[surrogate_indices(blocks, _policy(seed=5), 7)]
-        b = column[surrogate_indices(blocks, _policy(seed=5), 7)]
-        c = column[surrogate_indices(blocks, _policy(seed=5), 8)]
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        a = surrogate_indices(blocks, _policy(seed=5), 9)
+        assert np.array_equal(a, surrogate_indices(blocks, _policy(seed=5), 9))
+        # Draw 7 is the same row however many draws the test asks for.
+        assert np.array_equal(a[:8], surrogate_indices(blocks, _policy(seed=5), 8))
+        assert not np.array_equal(a[7], a[8])
+        assert not np.array_equal(a, surrogate_indices(blocks, _policy(seed=6), 9))
 
     def test_min_shift_honored(self):
         blocks = replication_blocks(np.zeros(10, dtype=int))
-        for draw in range(30):
-            idx = surrogate_indices(blocks, _policy(min_shift=3, seed=2), draw)
-            offset = int(np.flatnonzero(idx == 0)[0])
+        offsets = set()
+        for row in surrogate_indices(blocks, _policy(min_shift=3, seed=2), 30):
+            offset = int(np.flatnonzero(row == 0)[0])
             assert 3 <= offset <= 7
+            offsets.add(offset)
+        assert offsets == {3, 4, 5, 6, 7}
 
     def test_too_short_for_shift(self):
         blocks = replication_blocks(np.zeros(5, dtype=int))
         with pytest.raises(InsufficientSamplesError):
-            surrogate_indices(blocks, _policy(min_shift=3), 0)
+            surrogate_indices(blocks, _policy(min_shift=3), 1)
 
     def test_replication_shuffle_permutes_blocks(self):
         column = np.concatenate([np.zeros(5), np.ones(5), np.full(5, 2.0)])
         blocks = replication_blocks(np.repeat([0, 1, 2], 5))
         policy = _policy(method=REPLICATION_SHUFFLE, seed=4)
         seen = set()
-        for draw in range(30):
-            out = column[surrogate_indices(blocks, policy, draw)]
+        for row in surrogate_indices(blocks, policy, 30):
+            out = column[row]
             firsts = tuple(out[i * 5] for i in range(3))
             assert sorted(firsts) == [0.0, 1.0, 2.0]
+            assert np.array_equal(out, np.repeat(firsts, 5))
             seen.add(firsts)
         assert len(seen) > 1
 
@@ -98,29 +104,137 @@ class TestSurrogates:
         expected = {
             CIRCULAR_SHIFT: [
                 r[9:12, 0:9, 21:24, 12:21, 27:36, 24:27],
-                r[8:12, 0:8, 21:24, 12:21, 32:36, 24:32],
-                r[9:12, 0:9, 14:24, 12:14, 28:36, 24:28],
-                r[10:12, 0:10, 14:24, 12:14, 32:36, 24:32],
+                r[6:12, 0:6, 17:24, 12:17, 29:36, 24:29],
+                r[4:12, 0:4, 22:24, 12:22, 30:36, 24:30],
+                r[9:12, 0:9, 19:24, 12:19, 26:36, 24:26],
             ],
             REPLICATION_SHUFFLE: [
                 r[12:24, 0:12, 24:36],
+                r[12:24, 0:12, 24:36],
                 r[0:36],
-                r[0:12, 24:36, 12:24],
-                r[0:12, 24:36, 12:24],
+                r[24:36, 12:24, 0:12],
             ],
         }
         for method, vectors in expected.items():
             policy = _policy(method=method, min_shift=2, seed=11)
-            matrix = surrogate_index_matrix(rep_ids, policy, 4)
-            for draw, vector in enumerate(vectors):
-                drawn = surrogate_indices(replication_blocks(rep_ids), policy, draw)
-                assert np.array_equal(drawn, vector)
-                assert np.array_equal(matrix[draw], vector)
+            drawn = surrogate_indices(replication_blocks(rep_ids), policy, 4)
+            assert np.array_equal(drawn, np.stack(vectors))
+            assert np.array_equal(surrogate_index_matrix(rep_ids, policy, 4), drawn)
 
     def test_replication_shuffle_needs_replications(self):
         blocks = replication_blocks(np.zeros(10, dtype=int))
         with pytest.raises(InsufficientReplicationsError):
-            surrogate_indices(blocks, _policy(method=REPLICATION_SHUFFLE), 0)
+            surrogate_indices(blocks, _policy(method=REPLICATION_SHUFFLE), 1)
+
+
+@st.composite
+def _block_layouts(draw):
+    """(blocks, min_shift): 1-5 replications, each at least 2 * min_shift rows."""
+    min_shift = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(2 * min_shift, 40), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        lengths = [lengths[0]] * len(lengths)
+    return replication_blocks(np.repeat(np.arange(len(lengths)), lengths)), min_shift
+
+
+def _is_rotation(row, blocks, min_shift):
+    """Row rotates every block right by its own offset in [min_shift, L - min_shift]."""
+    for start, stop in blocks:
+        length = stop - start
+        offset = (start - row[start]) % length
+        assert min_shift <= offset <= length - min_shift
+        expected = start + (np.arange(length) - offset) % length
+        assert np.array_equal(row[start:stop], expected)
+
+
+def _is_block_order(row, blocks):
+    """Row moves whole equal-length blocks, each block exactly once."""
+    length = blocks[0][1] - blocks[0][0]
+    grid = row.reshape(len(blocks), length)
+    order = grid[:, 0] // length
+    assert sorted(order) == list(range(len(blocks)))
+    assert np.array_equal(grid, order[:, np.newaxis] * length + np.arange(length))
+
+
+_DRAW_SETTINGS = settings(max_examples=80, deadline=None)
+
+
+class TestDrawBuilderProperties:
+    """The vectorized draw builder over random block layouts, min_shift and n_perm."""
+
+    @_DRAW_SETTINGS
+    @given(_block_layouts(), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_rows_rotate_blocks_or_move_whole_blocks(self, layout, n_perm, seed):
+        blocks, min_shift = layout
+        matrix = surrogate_indices(blocks, _policy(min_shift=min_shift, seed=seed), n_perm)
+        assert matrix.shape == (n_perm, blocks[-1][1])
+        for row in matrix:
+            _is_rotation(row, blocks, min_shift)
+        lengths = {stop - start for start, stop in blocks}
+        if len(blocks) > 1 and len(lengths) == 1:
+            policy = _policy(REPLICATION_SHUFFLE, min_shift=min_shift, seed=seed)
+            matrix = surrogate_indices(blocks, policy, n_perm)
+            assert matrix.shape == (n_perm, blocks[-1][1])
+            for row in matrix:
+                _is_block_order(row, blocks)
+
+    @_DRAW_SETTINGS
+    @given(_block_layouts(), st.integers(1, 30), st.data())
+    def test_first_rows_equal_the_shorter_matrix(self, layout, n_perm, data):
+        blocks, min_shift = layout
+        k = data.draw(st.integers(1, n_perm))
+        methods = [CIRCULAR_SHIFT]
+        if len(blocks) > 1 and len({stop - start for start, stop in blocks}) == 1:
+            methods.append(REPLICATION_SHUFFLE)
+        for method in methods:
+            policy = _policy(method, min_shift=min_shift, seed=data.draw(st.integers(0, 999)))
+            full = surrogate_indices(blocks, policy, n_perm)
+            assert np.array_equal(full[:k], surrogate_indices(blocks, policy, k))
+
+    @_DRAW_SETTINGS
+    @given(_block_layouts(), st.data())
+    def test_short_block_raises_before_drawing(self, layout, data):
+        blocks, min_shift = layout
+        lengths = [stop - start for start, stop in blocks]
+        short = data.draw(st.integers(0, len(blocks) - 1))
+        lengths[short] = data.draw(st.integers(1, 2 * min_shift - 1))
+        blocks = replication_blocks(np.repeat(np.arange(len(lengths)), lengths))
+        drawn = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats, "rng_for", lambda *path: drawn.append(path))
+            with pytest.raises(InsufficientSamplesError):
+                surrogate_indices(blocks, _policy(min_shift=min_shift), 5)
+        assert drawn == []
+
+    @_DRAW_SETTINGS
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=5), st.integers(1, 30))
+    def test_shuffle_layout_errors_are_typed(self, lengths, n_perm):
+        blocks = replication_blocks(np.repeat(np.arange(len(lengths)), lengths))
+        policy = _policy(REPLICATION_SHUFFLE)
+        if len(lengths) == 1:
+            with pytest.raises(InsufficientReplicationsError):
+                surrogate_indices(blocks, policy, n_perm)
+        elif len(set(lengths)) > 1:
+            with pytest.raises(StatsError, match="equal-length"):
+                surrogate_indices(blocks, policy, n_perm)
+        else:
+            assert surrogate_indices(blocks, policy, n_perm).shape == (n_perm, sum(lengths))
+
+
+class TestIndexMatrixMemory:
+    """Building a test's index matrix holds little beyond the matrix itself."""
+
+    @pytest.mark.parametrize("method", [CIRCULAR_SHIFT, REPLICATION_SHUFFLE])
+    def test_peak_is_one_matrix(self, method):
+        rep_ids = np.repeat(np.arange(4), 2500)
+        tracemalloc.start()
+        try:
+            matrix = surrogate_index_matrix(rep_ids, _policy(method, seed=3), 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (200, 10_000)
+        assert peak <= 1.25 * matrix.nbytes, f"peak {peak} for {matrix.nbytes} bytes"
 
 
 class TestPvalueConventions:
