@@ -1,10 +1,11 @@
 """Group-level comparison of link strengths between two conditions.
 
-The link structure is fixed up front (the union of previously inferred
-networks); for each link the information statistic is estimated in both
-conditions and the absolute difference is tested against a null built by
-exchanging whole replications between conditions. Exchanging raw samples is
-refused, since it would destroy autocorrelation and invalidate the null.
+The link structure is fixed up front: the union of the links that previously
+inferred networks report after FDR. For each link the information statistic
+is estimated in both conditions and the absolute difference is tested
+against a null built by exchanging whole replications between conditions.
+Exchanging raw samples is refused, since it would destroy autocorrelation
+and invalidate the null.
 
 A link's embedded rows are kept as one (x, y, z) block per replication. The
 two conditions and every exchange draw are groups of block ids, and one
@@ -65,25 +66,30 @@ class ComparisonResult:
 
 
 def union_link_structures(*networks: NetworkResult) -> list[LinkStructure]:
-    """Union of links across networks, with per-target union conditioning.
+    """Union of the reported links across networks, with per-target union conditioning.
 
-    A link's statistic conditions on the target's union past plus the union
-    variables of the target's other selected source processes.
+    Only links that survive a network's FDR step (its ``adjacency``) enter:
+    a link's source variables are the selected variables of its source
+    process, and its delay is the one that network reports (the first
+    network's, when several report the link). Its statistic conditions on
+    the target's union past plus the union variables of the target's other
+    reported links.
     """
     past_by_target: dict[int, set[VariableRef]] = {}
     vars_by_edge: dict[tuple[int, int], set[VariableRef]] = {}
     delay_by_edge: dict[tuple[int, int], int] = {}
     for net in networks:
+        reported = {(link.source, link.target): link.delay for link in net.adjacency}
+        for edge, delay in reported.items():
+            delay_by_edge.setdefault(edge, delay)
         for tr in net.targets:
             past_by_target.setdefault(tr.target, set()).update(tr.selected_target_past)
             for s in tr.selected_sources:
                 edge = (s.variable.process, tr.target)
-                vars_by_edge.setdefault(edge, set()).add(s.variable)
-        for link in net.links:
-            delay_by_edge.setdefault((link.source, link.target), link.delay)
+                if edge in reported:
+                    vars_by_edge.setdefault(edge, set()).add(s.variable)
     out = []
     for (source, target) in sorted(vars_by_edge):
-        own = vars_by_edge[(source, target)]
         conditioning = set(past_by_target.get(target, set()))
         for (other_source, other_target), variables in vars_by_edge.items():
             if other_target == target and other_source != source:
@@ -92,8 +98,10 @@ def union_link_structures(*networks: NetworkResult) -> list[LinkStructure]:
             LinkStructure(
                 source=source,
                 target=target,
-                delay=delay_by_edge.get((source, target), min(v.lag for v in own)),
-                source_vars=tuple(sorted(own, key=VariableRef.sort_key)),
+                delay=delay_by_edge[(source, target)],
+                source_vars=tuple(
+                    sorted(vars_by_edge[(source, target)], key=VariableRef.sort_key)
+                ),
                 conditioning=tuple(sorted(conditioning, key=VariableRef.sort_key)),
             )
         )

@@ -64,17 +64,33 @@ def as_xyz(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (x, *as_yz(y, z, x.shape[0]))
 
 
+def gather_indices(draws: np.ndarray, blocks, method: str) -> np.ndarray:
+    """(k, n) gather indices of the (k, blocks) draws of a :class:`SurrogateBatch`."""
+    starts, stops = np.array(blocks).T
+    lengths = stops - starts
+    if method == REPLICATION_SHUFFLE:
+        rows = draws[:, :, np.newaxis] * lengths[0] + np.arange(lengths[0])
+        return rows.reshape(len(draws), -1)
+    # A rotation r makes row j read row j - r, wrapped back into its block.
+    # Built in place, so the peak is one matrix.
+    idx = np.repeat(draws, lengths, axis=1)
+    np.subtract(np.arange(stops[-1]), idx, out=idx)
+    np.add(idx, np.repeat(lengths, lengths), out=idx, where=idx < np.repeat(starts, lengths))
+    return idx
+
+
 @dataclass(frozen=True)
 class SurrogateBatch:
     """The surrogate draws of one permutation test for an (n, d) column block.
 
-    ``columns`` are read through :func:`as_columns`. Row ``i`` of the
-    (draws, n) ``index_matrix`` gathers draw ``i`` from ``columns``. ``blocks`` are
-    the (start, stop) rows of the replications, and each draw either rotates
-    every block right by its own offset (``CIRCULAR_SHIFT``) or reorders whole
-    equal-length blocks (``REPLICATION_SHUFFLE``). Every draw is therefore a
-    row permutation of ``columns``, and its structure can be read off the
-    block-start columns of the index matrix without gathering any rows.
+    ``columns`` are read through :func:`as_columns`. ``blocks`` are the
+    (start, stop) rows of the replications, and row ``i`` of the integer
+    (draws, blocks) ``draws`` describes draw ``i``: under ``CIRCULAR_SHIFT``
+    the right rotation in [0, length) of each block, under
+    ``REPLICATION_SHUFFLE`` the source block of each of the equal-length
+    blocks, a permutation of the block ids. Every draw is therefore a row
+    permutation of ``columns``; :func:`gather_indices` gives its rows, and
+    an estimator may use the rotations or block orders without gathering.
 
     The block holds one or more candidates of ``width`` columns each (by
     default one candidate of the full width), and every candidate shares the
@@ -84,7 +100,7 @@ class SurrogateBatch:
     """
 
     columns: np.ndarray
-    index_matrix: np.ndarray
+    draws: np.ndarray
     blocks: tuple[tuple[int, int], ...]
     method: str
     width: int | None = None
@@ -99,19 +115,16 @@ class SurrogateBatch:
         if self.width < 1 or total % self.width:
             raise StatsError(f"{total} columns do not split into candidates of width {self.width}")
         n = self.columns.shape[0]
-        if np.ndim(self.index_matrix) != 2 or np.shape(self.index_matrix)[1] != n:
-            raise StatsError(
-                f"index matrix of shape {np.shape(self.index_matrix)} does not gather {n} rows"
-            )
         starts, stops = [start for start, _ in self.blocks], [stop for _, stop in self.blocks]
         if not stops or starts != [0, *stops[:-1]] or stops[-1] != n or any(
             start >= stop for start, stop in self.blocks
         ):
             raise StatsError(f"blocks {self.blocks} do not tile rows 0..{n}")
+        object.__setattr__(self, "draws", _checked_draws(self.draws, self.blocks, self.method))
 
     @property
     def n_draws(self) -> int:
-        return self.index_matrix.shape[0]
+        return self.draws.shape[0]
 
     @property
     def n_candidates(self) -> int:
@@ -123,19 +136,40 @@ class SurrogateBatch:
     def __getitem__(self, i: int) -> np.ndarray:
         candidate, draw = divmod(i, self.n_draws)
         first = candidate * self.width
-        return self.columns[self.index_matrix[draw], first : first + self.width]
+        rows = gather_indices(self.draws[draw : draw + 1], self.blocks, self.method)[0]
+        return self.columns[rows, first : first + self.width]
 
-    def _starts(self) -> np.ndarray:
-        return self.index_matrix[:, [start for start, _ in self.blocks]]
 
-    def rotations(self) -> np.ndarray:
-        """(draws, blocks) right rotation of each block: its first row came from stop - r."""
-        return np.array([stop for _, stop in self.blocks]) - self._starts()
+def _checked_draws(draws, blocks, method: str) -> np.ndarray:
+    """``draws`` as an array if each draw permutes rows within blocks; else ``StatsError``.
 
-    def block_orders(self) -> np.ndarray:
-        """(draws, blocks) source block of each block under a replication shuffle."""
-        start, stop = self.blocks[0]
-        return self._starts() // (stop - start)
+    Unchecked, the Gaussian kernel would wrap a rotation out of range, while
+    the gathered rows would leave the block.
+    """
+    draws = np.asarray(draws)
+    lengths = np.array([stop - start for start, stop in blocks])
+    if draws.ndim != 2 or draws.shape[1] != lengths.size or draws.dtype.kind not in "iu":
+        raise StatsError(
+            f"draws of shape {draws.shape} and type {draws.dtype}, not int (draws, {lengths.size})"
+        )
+    if method == CIRCULAR_SHIFT:
+        bad = np.argwhere((draws < 0) | (draws >= lengths))
+        if bad.size:
+            i, b = bad[0]
+            raise StatsError(
+                f"rotation {draws[i, b]} of draw {i} lies outside [0, {lengths[b]}) of block {b}"
+            )
+    elif np.any(lengths != lengths[0]):
+        raise StatsError(f"replication shuffle of blocks of unequal lengths {lengths.tolist()}")
+    else:
+        ids = np.arange(lengths.size)
+        bad = np.flatnonzero((np.sort(draws, axis=1) != ids).any(axis=1))
+        if bad.size:
+            raise StatsError(
+                f"draw {bad[0]} orders blocks {draws[bad[0]].tolist()}, "
+                f"not a permutation of 0..{lengths.size - 1}"
+            )
+    return draws
 
 
 class Estimator:

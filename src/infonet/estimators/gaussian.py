@@ -336,9 +336,9 @@ class GaussianEstimator(Estimator):
         fixed_c, s_ff, dy = _centered_fixed(y, z, n, width)
         xc = columns - _column_means(columns)
         if x_batch.method == CIRCULAR_SHIFT:
-            s_xf = _shifted_cross(xc, fixed_c, x_batch.blocks, x_batch.rotations())
+            s_xf = _shifted_cross(xc, fixed_c, x_batch.blocks, x_batch.draws)
         else:
-            s_xf = _shuffled_cross(xc, fixed_c, len(x_batch.blocks), x_batch.block_orders())
+            s_xf = _shuffled_cross(xc, fixed_c, len(x_batch.blocks), x_batch.draws)
         # (draws, candidates * width, df) to candidate-major members.
         s_xf = s_xf.reshape(draws, candidates, width, -1).swapaxes(0, 1)
         per_candidate = xc.reshape(n, candidates, width)

@@ -11,19 +11,19 @@ test. Within one draw, every column shares the same per-replication offsets,
 which makes the joint (omnibus) surrogation a special case of the same
 machinery.
 
-A test builds its surrogates once, as an (n_permutations, n) index matrix:
-the replication blocks of its rows are derived once, and one
-:func:`surrogate_indices` call draws every offset, or every block order of a
-replication shuffle, and builds the matrix with array operations. The
-estimator gets them as a :class:`SurrogateBatch` holding a column block, the
-index matrix, the blocks and the method, with every draw in one
-``Estimator.cmi_surrogate_batch`` call. A max test makes one call for its
-whole pool: every candidate column is one candidate of the batch, since all
-share (y, z). A min test makes one call per selected variable, whose
-conditioning differs, and the omnibus test one call for its joint block. The default estimator gathers one member at a time and calls
+A test builds its surrogates once, as (n_permutations, blocks) draws, never
+as an (n_permutations, n) index matrix: one :func:`surrogate_indices` call
+draws every right rotation of a circular shift, or every block order of a
+replication shuffle. The estimator gets them as a :class:`SurrogateBatch`
+holding a column block, the draws, the blocks and the method, with every
+draw in one ``Estimator.cmi_surrogate_batch`` call. A max test makes one
+call for its whole pool: every candidate column is one candidate of the
+batch, since all share (y, z). A min test makes one call per selected
+variable, whose conditioning differs, and the omnibus test one call for its
+joint block. The default estimator gathers one member at a time and calls
 its scalar estimate; the kNN one does too, but at small n shares the (y, z)
 neighbor distances across every member; the Gaussian one computes every
-member's cross-covariance without gathering rows.
+member's cross-covariance from the draws without gathering rows.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .estimators.base import (
     SurrogateBatch,
     as_columns,
     as_yz,
+    gather_indices,
 )
 from .seeding import rng_for
 
@@ -98,10 +99,10 @@ def replication_blocks(rep_ids: np.ndarray) -> list[tuple[int, int]]:
 def surrogate_indices(
     blocks: list[tuple[int, int]], policy: SurrogatePolicy, n_perm: int
 ) -> np.ndarray:
-    """Gather indices of a test's ``n_perm`` surrogate draws, as (n_perm, n).
+    """A test's ``n_perm`` draws of :class:`SurrogateBatch`, as (n_perm, blocks).
 
     ``blocks`` are the replication blocks of the rows, from
-    :func:`replication_blocks`; row ``i`` of the result gathers draw ``i``.
+    :func:`replication_blocks`; a rotation lies in [min_shift, length - min_shift].
     """
     lengths = np.array([stop - start for start, stop in blocks])
     if policy.method == CIRCULAR_SHIFT:
@@ -110,30 +111,22 @@ def surrogate_indices(
             raise InsufficientSamplesError(
                 f"replication of {short[0]} rows too short for min_shift {policy.min_shift}"
             )
-        offsets = policy.min_shift + rng_for(policy.seed).integers(
+        return policy.min_shift + rng_for(policy.seed).integers(
             0, lengths - 2 * policy.min_shift + 1, size=(n_perm, lengths.size)
         )
-        block = np.repeat(np.arange(lengths.size), lengths)
-        # Rotate each block right by its offset: row j reads row j - offset,
-        # wrapped back into the block. Built in place, so the peak is one matrix.
-        idx = offsets[:, block]
-        np.subtract(np.arange(blocks[-1][1]), idx, out=idx)
-        first = np.repeat([start for start, _ in blocks], lengths)
-        np.add(idx, lengths[block], out=idx, where=idx < first)
-        return idx
     if len(blocks) < 2:
         raise InsufficientReplicationsError("replication_shuffle needs at least 2 replications")
     if np.any(lengths != lengths[0]):
         raise StatsError("replication_shuffle requires equal-length replications")
-    orders = rng_for(policy.seed).permuted(np.tile(np.arange(lengths.size), (n_perm, 1)), axis=1)
-    return (orders[:, :, np.newaxis] * lengths[0] + np.arange(lengths[0])).reshape(n_perm, -1)
+    return rng_for(policy.seed).permuted(np.tile(np.arange(lengths.size), (n_perm, 1)), axis=1)
 
 
 def surrogate_index_matrix(
     rep_ids: np.ndarray, policy: SurrogatePolicy, n_perm: int
 ) -> np.ndarray:
-    """Gather indices for draws 0..n_perm-1, as (n_perm, n)."""
-    return surrogate_indices(replication_blocks(rep_ids), policy, n_perm)
+    """Gather indices of draws 0..n_perm-1, as (n_perm, n); permutation tests never build it."""
+    blocks = replication_blocks(rep_ids)
+    return gather_indices(surrogate_indices(blocks, policy, n_perm), blocks, policy.method)
 
 
 def check_permutation_count(n_perm: int, alpha: float) -> None:
@@ -176,7 +169,7 @@ def _surrogate_batches(rep_ids: np.ndarray, policy: SurrogatePolicy, n_perm: int
     blocks = replication_blocks(rep_ids)
     return partial(
         SurrogateBatch,
-        index_matrix=surrogate_indices(blocks, policy, n_perm),
+        draws=surrogate_indices(blocks, policy, n_perm),
         blocks=tuple(blocks),
         method=policy.method,
     )

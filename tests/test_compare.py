@@ -9,13 +9,18 @@ from infonet import (
     EmptyLinkSetError,
     GroundTruthSpec,
     InferenceSettings,
+    Link,
     LinkStructure,
+    NetworkResult,
+    SelectedSource,
+    TargetResult,
     VariableRef,
     compare_networks,
     generate_dataset,
     infer_network,
     union_link_structures,
 )
+from infonet import stats
 from infonet.errors import DataError, InsufficientReplicationsError
 
 
@@ -165,7 +170,51 @@ class TestUnionStructure:
         net_b = infer_network(ds_b, InferenceSettings(seed=75))
         links = union_link_structures(net_a, net_b)
         merged = {(l.source, l.target) for l in links}
-        separate = {(l.source, l.target) for l in net_a.links} | {
-            (l.source, l.target) for l in net_b.links
+        separate = {(l.source, l.target) for l in net_a.adjacency} | {
+            (l.source, l.target) for l in net_b.adjacency
         }
         assert merged == separate
+
+    def test_links_failing_fdr_stay_out(self):
+        # Target 2 selected processes 0 and 1, but only 1 -> 2 survived FDR;
+        # a second network reports 0 -> 2 through another lag of process 0.
+        a = _hand_built_network({(0, 2): (5, False), (1, 2): (2, True)})
+        b = _hand_built_network({(0, 2): (3, True)})
+        alone = union_link_structures(a)
+        assert [(l.source, l.target, l.delay) for l in alone] == [(1, 2, 2)]
+        assert alone[0].source_vars == (VariableRef(1, 2),)
+        assert alone[0].conditioning == (VariableRef(2, 1),)
+        merged = {(l.source, l.target): l for l in union_link_structures(a, b)}
+        assert sorted(merged) == [(0, 2), (1, 2)]
+        # Lag 5 of process 0 entered only through a's failing link.
+        assert merged[(0, 2)].source_vars == (VariableRef(0, 3),)
+        assert merged[(0, 2)].delay == 3
+        assert merged[(1, 2)].conditioning == (VariableRef(0, 3), VariableRef(2, 1))
+
+
+def _hand_built_network(links: dict) -> NetworkResult:
+    """Three processes; target 2 selects lag 1 of its past and one lag per source.
+
+    ``links`` maps (source, 2) to (the selected lag, whether the link survives FDR).
+    """
+    settings = InferenceSettings()
+    empty = stats.TestResult(0.0, 1.0, False, 500, 0.05)
+    targets = [TargetResult(t, (), (), empty, {}, settings) for t in range(2)]
+    targets.append(
+        TargetResult(
+            target=2,
+            selected_target_past=(VariableRef(2, 1),),
+            selected_sources=tuple(
+                SelectedSource(VariableRef(source, lag), 0.05, 0.005)
+                for (source, _), (lag, _) in sorted(links.items())
+            ),
+            omnibus=stats.TestResult(0.1, 0.002, True, 500, 0.05),
+            per_source_delay={source: lag for (source, _), (lag, _) in links.items()},
+            settings=settings,
+        )
+    )
+    reported = tuple(
+        Link(source, target, 0.05, lag, 0.005 if survives else 0.04, survives)
+        for (source, target), (lag, survives) in sorted(links.items())
+    )
+    return NetworkResult(tuple(targets), reported, 6, settings, settings.seed)

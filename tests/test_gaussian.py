@@ -15,17 +15,16 @@ from infonet import (
     gaussian_mi,
 )
 from infonet.estimators import gaussian
-from infonet.estimators.base import SurrogateBatch
 from infonet.estimators.gaussian import _factorize, gaussian_cmi_batch
 from infonet.stats import (
     CIRCULAR_SHIFT,
     REPLICATION_SHUFFLE,
     SurrogatePolicy,
     omnibus_test,
-    replication_blocks,
     surrogate_index_matrix,
-    surrogate_indices,
 )
+
+from conftest import surrogate_batch
 
 
 def _correlated_pair(rng, n, rho):
@@ -258,12 +257,6 @@ def _constant_column_cases():
     return [single, blocks]
 
 
-def _surrogate_batch(x, rep_ids, policy, n_perm):
-    """The draws of one permutation test for x, as the tests build them."""
-    index = surrogate_index_matrix(rep_ids, policy, n_perm)
-    return SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)
-
-
 def _gathered(batch):
     return np.stack([batch[i] for i in range(len(batch))])
 
@@ -281,7 +274,7 @@ class TestConstantColumn:
         rep_ids = np.repeat(np.arange(len(blocks)), [len(b[0]) for b in blocks])
         methods = [CIRCULAR_SHIFT] + ([REPLICATION_SHUFFLE] if len(blocks) > 1 else [])
         for method in methods:
-            batch = _surrogate_batch(x, rep_ids, SurrogatePolicy(method, seed=1), 2)
+            batch = surrogate_batch(x, rep_ids, SurrogatePolicy(method, seed=1), 2)
             assert estimator.cmi_surrogate_batch(batch, y, z).tolist() == [0.0, 0.0]
         assert estimator.group_cmis(blocks, [range(len(blocks))])[0] == 0.0
 
@@ -335,7 +328,7 @@ class TestProperties:
 
 @st.composite
 def _surrogate_cases(draw):
-    """(surrogate batch, policy, y, z) as the permutation tests build them."""
+    """(surrogate batch, rep_ids, policy, y, z) as the permutation tests build them."""
     dx, dy, dz = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 4))
     method = draw(st.sampled_from([CIRCULAR_SHIFT, REPLICATION_SHUFFLE]))
     n_reps = draw(st.integers(1 if method == CIRCULAR_SHIFT else 2, 4))
@@ -348,24 +341,8 @@ def _surrogate_cases(draw):
     min_shift, seed = draw(st.integers(1, 5)), draw(st.integers(0, 999))
     policy = SurrogatePolicy(method, min_shift=min_shift, seed=seed)
     rep_ids = np.repeat(np.arange(n_reps), length)
-    batch = _surrogate_batch(x, rep_ids, policy, draw(st.integers(1, 30)))
-    return batch, policy, data[:, dx : dx + dy], data[:, dx + dy :]
-
-
-def _regenerated_index(batch):
-    """The index matrix rebuilt from the batch's rotations or block orders alone."""
-    if batch.method == CIRCULAR_SHIFT:
-        def rotated(rotation):
-            return np.concatenate(
-                [
-                    start + (np.arange(stop - start) - r) % (stop - start)
-                    for (start, stop), r in zip(batch.blocks, rotation)
-                ]
-            )
-
-        return np.stack([rotated(rotation) for rotation in batch.rotations()])
-    grid = np.arange(batch.blocks[-1][1]).reshape(len(batch.blocks), -1)
-    return np.stack([grid[order].ravel() for order in batch.block_orders()])
+    batch = surrogate_batch(x, rep_ids, policy, draw(st.integers(1, 30)))
+    return batch, rep_ids, policy, data[:, dx : dx + dy], data[:, dx + dy :]
 
 
 class TestSurrogateBatch:
@@ -374,11 +351,10 @@ class TestSurrogateBatch:
     @settings(max_examples=60, deadline=None)
     @given(_surrogate_cases())
     def test_equals_general_batch(self, case):
-        batch, policy, y, z = case
-        index = surrogate_indices(list(batch.blocks), policy, batch.n_draws)
+        batch, rep_ids, policy, y, z = case
+        index = surrogate_index_matrix(rep_ids, policy, batch.n_draws)
         for i in range(len(batch)):
             assert np.array_equal(batch[i], batch.columns[index[i]])
-        assert np.array_equal(_regenerated_index(batch), batch.index_matrix)
         fast = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
         assert np.max(np.abs(fast - gaussian_cmi_batch(_gathered(batch), y, z))) <= 1e-12
 
@@ -389,15 +365,20 @@ class TestSurrogateBatch:
         data = rng.normal(size=(n_blocks * length, 6)) @ mixing
         x, y, z = data[:, :3], data[:, 3:4], data[:, 4:]
         rep_ids = np.repeat(np.arange(n_blocks), length)
-        batch = _surrogate_batch(x, rep_ids, SurrogatePolicy(REPLICATION_SHUFFLE, seed=5), 40)
-        assert np.array_equal(_regenerated_index(batch), batch.index_matrix)
+        policy = SurrogatePolicy(REPLICATION_SHUFFLE, seed=5)
+        batch = surrogate_batch(x, rep_ids, policy, 40)
+        index = surrogate_index_matrix(rep_ids, policy, 40)
+        # Each draw moves whole blocks: block b reads block draws[i, b].
+        assert np.array_equal(index.reshape(40, n_blocks, length)[:, :, 0] // length, batch.draws)
+        for i in range(len(batch)):
+            assert np.array_equal(batch[i], x[index[i]])
         fast = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
         assert np.max(np.abs(fast - gaussian_cmi_batch(_gathered(batch), y, z))) <= 1e-12
 
     def _batch(self, name):
         x, y, z, _ = _degenerate_case(name)
         rep_ids = np.zeros(len(x), dtype=int)
-        return _surrogate_batch(x, rep_ids, SurrogatePolicy(seed=3), 5), y, z
+        return surrogate_batch(x, rep_ids, SurrogatePolicy(seed=3), 5), y, z
 
     def test_constant_x_is_zero_on_both_paths(self):
         batch, y, z = self._batch("constant x")
@@ -423,14 +404,8 @@ class TestShiftedCrossChunks:
         fixed = rng.normal(size=(n_reps * length, df))
         x = rng.normal(size=(len(fixed), candidates)) + fixed[:, :1]
         rep_ids = np.repeat(np.arange(n_reps), length)
-        batch = SurrogateBatch(
-            x,
-            surrogate_index_matrix(rep_ids, SurrogatePolicy(seed=4), 20),
-            tuple(replication_blocks(rep_ids)),
-            CIRCULAR_SHIFT,
-            width=1,
-        )
-        args = (x, fixed, batch.blocks, batch.rotations())
+        batch = surrogate_batch(x, rep_ids, SurrogatePolicy(seed=4), 20, width=1)
+        args = (x, fixed, batch.blocks, batch.draws)
         full = gaussian._shifted_cross(*args)
         whole = GaussianEstimator().cmi_surrogate_batch(batch, fixed[:, :1], fixed[:, 1:])
         monkeypatch.setattr(gaussian, "_CROSS_CELLS", chunk * length * df)
@@ -465,8 +440,7 @@ def _multi_candidate_cases(draw):
     min_shift, seed = draw(st.integers(1, 5)), draw(st.integers(0, 999))
     policy = SurrogatePolicy(method, min_shift=min_shift, seed=seed)
     rep_ids = np.repeat(np.arange(n_reps), length)
-    index = surrogate_index_matrix(rep_ids, policy, draw(st.integers(1, 30)))
-    batch = SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), method, width=width)
+    batch = surrogate_batch(x, rep_ids, policy, draw(st.integers(1, 30)), width=width)
     return batch, fixed[:, :1], fixed[:, 1:], constant
 
 

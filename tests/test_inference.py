@@ -1,5 +1,7 @@
 """Greedy network inference: selection, pruning, modes, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from infonet import (
     generate_dataset,
     infer_network,
     infer_target,
+    network_to_json,
     prune,
     select_sources,
     select_target_past,
@@ -414,3 +417,44 @@ class TestEstimatorAgreement:
         net = infer_network(ds, settings)
         found = {(l.source, l.target) for l in net.adjacency}
         assert (0, 1) in found
+
+
+class TestPinnedNetwork:
+    """The canonical JSON of two small Gaussian networks, pinned by its sha256.
+
+    A refactor that claims identical results must keep both digests. A
+    change of the random streams or of the estimator's rounding moves them
+    on purpose, and the new digests are then pinned here.
+    """
+
+    TOPOLOGY = (Coupling(0, 1, 2, 0.5), Coupling(1, 2, 1, 0.5))
+
+    @pytest.mark.parametrize(
+        "surrogate, replications, seed, digest",
+        [
+            (
+                "circular_shift",
+                1,
+                31,
+                "5045a440a873891d62ed0fa88d2ef0ec5ceebd174db54a1680791144c10131e4",
+            ),
+            (
+                "replication_shuffle",
+                6,
+                32,
+                "a6db51ae4ff28830bc91ef2a0bc5f8a62932a6b28d3ebcfc01c71bb4f7ae7061",
+            ),
+        ],
+    )
+    def test_json_digest(self, surrogate, replications, seed, digest):
+        spec = GroundTruthSpec(
+            n_processes=3,
+            n_samples=300 // replications,
+            n_replications=replications,
+            topology=self.TOPOLOGY,
+            seed=seed,
+        )
+        net = infer_network(generate_dataset(spec), InferenceSettings(surrogate=surrogate, seed=33))
+        assert {(l.source, l.target) for l in net.adjacency} == {(0, 1), (1, 2)}
+        text = network_to_json(net)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -23,18 +23,16 @@ from infonet import (
     knn_mi,
     plugin_cmi,
 )
-from infonet.estimators.base import SurrogateBatch
 from infonet.estimators.gaussian import gaussian_cmi_batch
-from infonet.stats import replication_blocks, surrogate_index_matrix
+
+from conftest import surrogate_batch
 
 N = 120
 
 
 def _surrogates(estimator):
     def call(x, y, z):
-        rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=2)
-        index = surrogate_index_matrix(rep_ids, policy, 3)
-        batch = SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)
+        batch = surrogate_batch(x, np.zeros(len(x), dtype=int), SurrogatePolicy(seed=2), 3)
         return estimator.cmi_surrogate_batch(batch, y, z)
 
     return call

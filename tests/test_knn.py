@@ -15,9 +15,10 @@ from infonet import (
     knn_mi,
 )
 from infonet.errors import EstimatorError
-from infonet.estimators.base import CIRCULAR_SHIFT, REPLICATION_SHUFFLE, SurrogateBatch
+from infonet.estimators.base import CIRCULAR_SHIFT, REPLICATION_SHUFFLE
 from infonet.neighbors import _BLOCK_CELLS
-from infonet.stats import replication_blocks, surrogate_index_matrix
+
+from conftest import surrogate_batch
 
 
 def _gauss_pair(rng, n, rho):
@@ -127,10 +128,8 @@ class TestAdapter:
         columns = np.concatenate([x, rng.normal(size=(120, 2))], axis=1)
         est = KnnEstimator(KnnSettings(k=3, seed=9))
         rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=9)
-        index = surrogate_index_matrix(rep_ids, policy, 4)
-        blocks = tuple(replication_blocks(rep_ids))
         for block in (x, columns):
-            batch = SurrogateBatch(block, index, blocks, policy.method, width=1)
+            batch = surrogate_batch(block, rep_ids, policy, 4, width=1)
             vals = est.cmi_surrogate_batch(batch, y, None)
             assert vals.shape == (block.shape[1] * 4,)
             assert vals.tolist() == [est.cmi_value(batch[i], y, None) for i in range(len(batch))]
@@ -196,9 +195,8 @@ def _shared_yz_cases(draw, loop: bool):
         data = np.round(data, 1)
     rep_ids = np.repeat(np.arange(n_reps), length)
     policy = SurrogatePolicy(method, min_shift=2, seed=draw(st.integers(0, 999)))
-    index = surrogate_index_matrix(rep_ids, policy, draw(st.integers(1, 3)))
-    batch = SurrogateBatch(
-        data[:, : candidates * dx], index, tuple(replication_blocks(rep_ids)), method, width=dx
+    batch = surrogate_batch(
+        data[:, : candidates * dx], rep_ids, policy, draw(st.integers(1, 3)), width=dx
     )
     noise = KnnSettings().noise_amplitude
     if not ties:
@@ -258,6 +256,4 @@ class TestSharedYZ:
 
 
 def _one_block_batch(x, n_perm):
-    rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=1)
-    index = surrogate_index_matrix(rep_ids, policy, n_perm)
-    return SurrogateBatch(x, index, tuple(replication_blocks(rep_ids)), policy.method)
+    return surrogate_batch(x, np.zeros(len(x), dtype=int), SurrogatePolicy(seed=1), n_perm)

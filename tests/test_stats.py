@@ -20,7 +20,7 @@ from infonet import (
 from infonet import stats
 from infonet.errors import InsufficientReplicationsError, InvalidValueError, StatsError
 from infonet.estimators import DiscreteEstimator, KnnEstimator, KnnSettings
-from infonet.estimators.base import SurrogateBatch
+from infonet.estimators.base import SurrogateBatch, gather_indices
 from infonet.stats import (
     CIRCULAR_SHIFT,
     REPLICATION_SHUFFLE,
@@ -31,18 +31,20 @@ from infonet.stats import (
     surrogate_indices,
 )
 
+from conftest import surrogate_batch
+
 
 def _policy(method=CIRCULAR_SHIFT, min_shift=1, seed=0):
     return SurrogatePolicy(method=method, min_shift=min_shift, seed=seed)
 
 
 class TestSurrogates:
-    """Each row of a test's (n_perm, n) index matrix is one surrogate draw."""
+    """Each row of a test's (n_perm, blocks) draws is one surrogate draw; row i
+    of the (n_perm, n) index matrix gathers it."""
 
     def test_rotation_definition(self):
         column = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        blocks = replication_blocks(np.zeros(5, dtype=int))
-        matrix = surrogate_indices(blocks, _policy(min_shift=1, seed=3), 50)
+        matrix = surrogate_index_matrix(np.zeros(5, dtype=int), _policy(min_shift=1, seed=3), 50)
         seen = {tuple(column[row]) for row in matrix}
         # every outcome is a rotation with offset in [1, 4]
         rotations = {tuple(np.roll(column, k)) for k in range(1, 5)}
@@ -54,8 +56,8 @@ class TestSurrogates:
     def test_multiset_preserved(self):
         rng = np.random.default_rng(70)
         column = rng.normal(size=40)
-        blocks = replication_blocks(np.repeat([0, 1], 20))
-        for row in surrogate_indices(blocks, _policy(min_shift=2, seed=1), 20):
+        rep_ids = np.repeat([0, 1], 20)
+        for row in surrogate_index_matrix(rep_ids, _policy(min_shift=2, seed=1), 20):
             out = column[row]
             assert np.array_equal(np.sort(out[:20]), np.sort(column[:20]))
             assert np.array_equal(np.sort(out[20:]), np.sort(column[20:]))
@@ -70,13 +72,12 @@ class TestSurrogates:
         assert not np.array_equal(a, surrogate_indices(blocks, _policy(seed=6), 9))
 
     def test_min_shift_honored(self):
-        blocks = replication_blocks(np.zeros(10, dtype=int))
-        offsets = set()
-        for row in surrogate_indices(blocks, _policy(min_shift=3, seed=2), 30):
-            offset = int(np.flatnonzero(row == 0)[0])
-            assert 3 <= offset <= 7
-            offsets.add(offset)
-        assert offsets == {3, 4, 5, 6, 7}
+        rep_ids, policy = np.zeros(10, dtype=int), _policy(min_shift=3, seed=2)
+        draws = surrogate_indices(replication_blocks(rep_ids), policy, 30)
+        for (rotation,), row in zip(draws, surrogate_index_matrix(rep_ids, policy, 30)):
+            assert 3 <= rotation <= 7
+            assert np.flatnonzero(row == 0).tolist() == [rotation]
+        assert set(draws[:, 0].tolist()) == {3, 4, 5, 6, 7}
 
     def test_too_short_for_shift(self):
         blocks = replication_blocks(np.zeros(5, dtype=int))
@@ -85,13 +86,15 @@ class TestSurrogates:
 
     def test_replication_shuffle_permutes_blocks(self):
         column = np.concatenate([np.zeros(5), np.ones(5), np.full(5, 2.0)])
-        blocks = replication_blocks(np.repeat([0, 1, 2], 5))
+        rep_ids = np.repeat([0, 1, 2], 5)
         policy = _policy(method=REPLICATION_SHUFFLE, seed=4)
+        draws = surrogate_indices(replication_blocks(rep_ids), policy, 30)
         seen = set()
-        for row in surrogate_indices(blocks, policy, 30):
+        for order, row in zip(draws, surrogate_index_matrix(rep_ids, policy, 30)):
             out = column[row]
             firsts = tuple(out[i * 5] for i in range(3))
             assert sorted(firsts) == [0.0, 1.0, 2.0]
+            assert firsts == tuple(order)
             assert np.array_equal(out, np.repeat(firsts, 5))
             seen.add(firsts)
         assert len(seen) > 1
@@ -100,8 +103,12 @@ class TestSurrogates:
         # Hard-coded draws 0-3 at seed 11: any change to the random stream,
         # which every published p-value depends on, fails here.
         rep_ids = np.repeat([0, 1, 2], 12)
+        draws = {
+            CIRCULAR_SHIFT: [[3, 3, 9], [6, 7, 7], [8, 2, 6], [3, 5, 10]],
+            REPLICATION_SHUFFLE: [[1, 0, 2], [1, 0, 2], [0, 1, 2], [2, 1, 0]],
+        }
         r = np.r_
-        expected = {
+        rows = {
             CIRCULAR_SHIFT: [
                 r[9:12, 0:9, 21:24, 12:21, 27:36, 24:27],
                 r[6:12, 0:6, 17:24, 12:17, 29:36, 24:29],
@@ -115,11 +122,11 @@ class TestSurrogates:
                 r[24:36, 12:24, 0:12],
             ],
         }
-        for method, vectors in expected.items():
+        for method, vectors in rows.items():
             policy = _policy(method=method, min_shift=2, seed=11)
             drawn = surrogate_indices(replication_blocks(rep_ids), policy, 4)
-            assert np.array_equal(drawn, np.stack(vectors))
-            assert np.array_equal(surrogate_index_matrix(rep_ids, policy, 4), drawn)
+            assert drawn.tolist() == draws[method]
+            assert np.array_equal(surrogate_index_matrix(rep_ids, policy, 4), np.stack(vectors))
 
     def test_replication_shuffle_needs_replications(self):
         blocks = replication_blocks(np.zeros(10, dtype=int))
@@ -137,21 +144,23 @@ def _block_layouts(draw):
     return replication_blocks(np.repeat(np.arange(len(lengths)), lengths)), min_shift
 
 
-def _is_rotation(row, blocks, min_shift):
-    """Row rotates every block right by its own offset in [min_shift, L - min_shift]."""
-    for start, stop in blocks:
+def _is_rotation(row, blocks, min_shift, rotations):
+    """Row rotates every block right by its rotation, in [min_shift, L - min_shift]."""
+    for (start, stop), rotation in zip(blocks, rotations):
         length = stop - start
         offset = (start - row[start]) % length
+        assert offset == rotation
         assert min_shift <= offset <= length - min_shift
         expected = start + (np.arange(length) - offset) % length
         assert np.array_equal(row[start:stop], expected)
 
 
-def _is_block_order(row, blocks):
-    """Row moves whole equal-length blocks, each block exactly once."""
+def _is_block_order(row, blocks, draw):
+    """Row moves whole equal-length blocks, each block exactly once, in the draw's order."""
     length = blocks[0][1] - blocks[0][0]
     grid = row.reshape(len(blocks), length)
     order = grid[:, 0] // length
+    assert order.tolist() == draw.tolist()
     assert sorted(order) == list(range(len(blocks)))
     assert np.array_equal(grid, order[:, np.newaxis] * length + np.arange(length))
 
@@ -160,23 +169,27 @@ _DRAW_SETTINGS = settings(max_examples=80, deadline=None)
 
 
 class TestDrawBuilderProperties:
-    """The vectorized draw builder over random block layouts, min_shift and n_perm."""
+    """The draw builder and the gather helper over random block layouts, min_shift and n_perm."""
 
     @_DRAW_SETTINGS
     @given(_block_layouts(), st.integers(1, 30), st.integers(0, 2**32 - 1))
     def test_rows_rotate_blocks_or_move_whole_blocks(self, layout, n_perm, seed):
         blocks, min_shift = layout
-        matrix = surrogate_indices(blocks, _policy(min_shift=min_shift, seed=seed), n_perm)
+        draws = surrogate_indices(blocks, _policy(min_shift=min_shift, seed=seed), n_perm)
+        assert draws.shape == (n_perm, len(blocks))
+        matrix = gather_indices(draws, blocks, CIRCULAR_SHIFT)
         assert matrix.shape == (n_perm, blocks[-1][1])
-        for row in matrix:
-            _is_rotation(row, blocks, min_shift)
+        for row, rotations in zip(matrix, draws):
+            _is_rotation(row, blocks, min_shift, rotations)
         lengths = {stop - start for start, stop in blocks}
         if len(blocks) > 1 and len(lengths) == 1:
             policy = _policy(REPLICATION_SHUFFLE, min_shift=min_shift, seed=seed)
-            matrix = surrogate_indices(blocks, policy, n_perm)
+            draws = surrogate_indices(blocks, policy, n_perm)
+            assert draws.shape == (n_perm, len(blocks))
+            matrix = gather_indices(draws, blocks, REPLICATION_SHUFFLE)
             assert matrix.shape == (n_perm, blocks[-1][1])
-            for row in matrix:
-                _is_block_order(row, blocks)
+            for row, order in zip(matrix, draws):
+                _is_block_order(row, blocks, order)
 
     @_DRAW_SETTINGS
     @given(_block_layouts(), st.integers(1, 30), st.data())
@@ -218,7 +231,7 @@ class TestDrawBuilderProperties:
             with pytest.raises(StatsError, match="equal-length"):
                 surrogate_indices(blocks, policy, n_perm)
         else:
-            assert surrogate_indices(blocks, policy, n_perm).shape == (n_perm, sum(lengths))
+            assert surrogate_indices(blocks, policy, n_perm).shape == (n_perm, len(lengths))
 
 
 class TestIndexMatrixMemory:
@@ -235,6 +248,31 @@ class TestIndexMatrixMemory:
             tracemalloc.stop()
         assert matrix.shape == (200, 10_000)
         assert peak <= 1.25 * matrix.nbytes, f"peak {peak} for {matrix.nbytes} bytes"
+
+
+class TestSurrogateMemory:
+    """A Gaussian max test never holds an (n_perm, n) index matrix."""
+
+    @pytest.mark.parametrize("method", [CIRCULAR_SHIFT, REPLICATION_SHUFFLE])
+    def test_peak_below_one_index_matrix(self, method):
+        rng = np.random.default_rng(74)
+        n, n_perm = 10_000, 200
+        columns = rng.normal(size=(n, 5))
+        y, z = rng.normal(size=(n, 1)), rng.normal(size=(n, 2))
+        observed = GaussianEstimator().candidates_cmi(columns, y, z)
+        rep_ids = np.repeat(np.arange(4), n // 4)
+        tracemalloc.start()
+        try:
+            result = max_statistic_test(
+                columns, observed, y, z, rep_ids, GaussianEstimator(),
+                _policy(method, seed=3), n_perm, 0.05,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_permutations == n_perm
+        index_bytes = n_perm * n * np.dtype(np.int64).itemsize
+        assert peak < index_bytes, f"peak {peak} against {index_bytes} bytes of index matrix"
 
 
 class TestPvalueConventions:
@@ -306,11 +344,9 @@ class TestMaxStatistic:
 
 def _per_column_max_test(columns, observed, y, z, rep_ids, estimator, policy, n_perm, alpha):
     """The max test as one surrogate batch per candidate column, maxima taken in turn."""
-    index = surrogate_index_matrix(rep_ids, policy, n_perm)
-    blocks = tuple(replication_blocks(rep_ids))
     null_max = np.full(n_perm, -np.inf)
     for j in range(columns.shape[1]):
-        batch = SurrogateBatch(columns[:, j : j + 1], index, blocks, policy.method)
+        batch = surrogate_batch(columns[:, j : j + 1], rep_ids, policy, n_perm)
         np.maximum(null_max, estimator.cmi_surrogate_batch(batch, y, z), out=null_max)
     statistic = float(np.max(observed))
     return statistic, permutation_pvalue(statistic, null_max)
@@ -556,10 +592,7 @@ def _surrogate_cases(draw):
         data[:, total] += data[:, 0]
     rep_ids = np.repeat(np.arange(n_reps), length)
     policy = SurrogatePolicy(method, min_shift=2, seed=draw(st.integers(0, 999)))
-    index = surrogate_index_matrix(rep_ids, policy, draw(st.integers(1, 6)))
-    batch = SurrogateBatch(
-        data[:, :total], index, tuple(replication_blocks(rep_ids)), policy.method, width=dx
-    )
+    batch = surrogate_batch(data[:, :total], rep_ids, policy, draw(st.integers(1, 6)), width=dx)
     return batch, data[:, total : total + 1], data[:, total + 1 :], discrete
 
 
@@ -571,10 +604,11 @@ class TestDefaultSurrogateBatch:
     def test_equals_scalar_value_per_draw(self, case):
         batch, y, z, discrete = case
         assert len(batch) == batch.n_candidates * batch.n_draws
+        index = gather_indices(batch.draws, batch.blocks, batch.method)
         for i in range(len(batch)):
             candidate, draw = divmod(i, batch.n_draws)
             columns = batch.columns[:, candidate * batch.width : (candidate + 1) * batch.width]
-            assert np.array_equal(batch[i], columns[batch.index_matrix[draw]])
+            assert np.array_equal(batch[i], columns[index[draw]])
         estimators = (
             [DiscreteEstimator(alphabet_size=3)]
             if discrete
@@ -589,19 +623,56 @@ class TestDefaultSurrogateBatch:
         "estimator", [GaussianEstimator(), KnnEstimator(), DiscreteEstimator(alphabet_size=2)]
     )
     @pytest.mark.parametrize(
-        "index_shape, blocks",
-        [((3, 120), ((0, 120),)), ((120,), ((0, 100),)), ((3, 100), ((0, 40), (50, 100)))],
+        "draws_shape, blocks, match",
+        [
+            ((3, 1), ((0, 120),), "rows"),
+            ((1,), ((0, 100),), "shape"),
+            ((3, 2), ((0, 40), (50, 100)), "rows"),
+        ],
         ids=["long_index", "one_draw_1d", "gap_between_blocks"],
     )
-    def test_index_and_blocks_must_fit_the_rows(self, estimator, index_shape, blocks):
+    def test_index_and_blocks_must_fit_the_rows(self, estimator, draws_shape, blocks, match):
         columns = np.arange(100.0)[:, np.newaxis] % 2
-        index = np.zeros(index_shape, dtype=np.int64)
-        with pytest.raises(StatsError, match="rows"):
+        draws = np.zeros(draws_shape, dtype=np.int64)
+        with pytest.raises(StatsError, match=match):
             estimator.cmi_surrogate_batch(
-                SurrogateBatch(columns, index, blocks, CIRCULAR_SHIFT), columns, None
+                SurrogateBatch(columns, draws, blocks, CIRCULAR_SHIFT), columns, None
+            )
+
+    @pytest.mark.parametrize(
+        "estimator", [GaussianEstimator(), KnnEstimator(), DiscreteEstimator(alphabet_size=2)]
+    )
+    @pytest.mark.parametrize(
+        "method, draws, blocks, match",
+        [
+            (CIRCULAR_SHIFT, [[0, 1]], ((0, 100),), "shape"),
+            (CIRCULAR_SHIFT, [[1.0]], ((0, 100),), "float64"),
+            (CIRCULAR_SHIFT, [[3], [-1]], ((0, 100),), r"rotation -1 of draw 1 .* \[0, 100\)"),
+            (CIRCULAR_SHIFT, [[40, 60]], ((0, 40), (40, 100)), r"rotation 40 .* \[0, 40\)"),
+            (REPLICATION_SHUFFLE, [[1, 0], [0, 0]], ((0, 50), (50, 100)), "draw 1 .* permutation"),
+            (REPLICATION_SHUFFLE, [[0, 2]], ((0, 50), (50, 100)), "permutation"),
+            (REPLICATION_SHUFFLE, [[1, 0]], ((0, 40), (40, 100)), "unequal"),
+        ],
+        ids=[
+            "one_too_many",
+            "float",
+            "negative_rotation",
+            "rotation_of_block_length",
+            "repeated_block",
+            "unknown_block",
+            "unequal_blocks",
+        ],
+    )
+    def test_draws_must_permute_the_rows(self, estimator, method, draws, blocks, match):
+        # A rotation of -1 would wrap to the last lag in the Gaussian kernel,
+        # while the gathered rows would read the next block.
+        columns = np.arange(100.0)[:, np.newaxis] % 2
+        with pytest.raises(StatsError, match=match):
+            estimator.cmi_surrogate_batch(
+                SurrogateBatch(columns, np.array(draws), blocks, method), columns, None
             )
 
     def test_width_must_divide_the_block(self):
-        index = np.zeros((2, 10), dtype=np.int64)
+        draws = np.zeros((2, 1), dtype=np.int64)
         with pytest.raises(StatsError, match="width 2"):
-            SurrogateBatch(np.zeros((10, 3)), index, ((0, 10),), CIRCULAR_SHIFT, width=2)
+            SurrogateBatch(np.zeros((10, 3)), draws, ((0, 10),), CIRCULAR_SHIFT, width=2)
