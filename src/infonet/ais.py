@@ -30,7 +30,6 @@ class StorageResult:
     selected_embedding: tuple[VariableRef, ...]
     test: TestResult
     local: np.ndarray | None
-    settings: InferenceSettings
 
 
 def ais_estimate(dataset: Dataset, process: int, settings: InferenceSettings) -> StorageResult:
@@ -44,7 +43,6 @@ def ais_estimate(dataset: Dataset, process: int, settings: InferenceSettings) ->
             selected_embedding=(),
             test=TestResult(0.0, 1.0, False, settings.n_perm_omnibus, settings.alpha_omnibus),
             local=np.zeros(ws.n_rows),
-            settings=settings,
         )
     past_cols = ws.columns(embedding)
     info = ws.estimator.cmi(past_cols, ws.y, None)
@@ -64,5 +62,4 @@ def ais_estimate(dataset: Dataset, process: int, settings: InferenceSettings) ->
         selected_embedding=tuple(embedding),
         test=test,
         local=info.local,
-        settings=settings,
     )

@@ -176,9 +176,8 @@ def _cmd_infer(args) -> int:
     network = infer_network(dataset, settings, threads=threads)
     elapsed = time.monotonic() - started
     _log(f"done in {elapsed:.2f}s: {len(network.adjacency)} significant link(s)")
-    # The payload keeps runtime_seconds at 0.0 so identical config + seed
-    # yields byte-identical output; wall-clock time goes to stderr above.
-    _emit(network_to_json(network, runtime_seconds=0.0), args.output or cfg.get("output"))
+    # Wall-clock time goes to stderr above, never into the canonical JSON.
+    _emit(network_to_json(network), args.output or cfg.get("output"))
     return 0
 
 

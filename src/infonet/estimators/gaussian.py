@@ -365,18 +365,20 @@ class GaussianEstimator(Estimator):
         (Chan, Golub & LeVeque 1983), so one product with a 0/1 membership
         matrix gives every group's covariance. Values match the
         concatenating default to rounding; the order of a group's blocks
-        does not matter here.
+        does not matter here. A column that is constant across a group's
+        blocks gets exact zero moments in that group, as the default's
+        centering gives it, so the degeneracy rule applies to it too.
         """
         parts = [as_xyz(*block) for block in blocks]
         dx, dy = parts[0][0].shape[1], parts[0][1].shape[1]
         rows = np.concatenate([np.concatenate(block, axis=1) for block in parts])
         centered = rows - _column_means(rows)
         d = centered.shape[1]
-        starts = np.cumsum([len(block[0]) for block in parts])[:-1]
+        starts = np.concatenate([[0], np.cumsum([len(block[0]) for block in parts])[:-1]])
         moments = np.stack(
             [
                 np.concatenate([[len(c)], c.sum(axis=0), (c.T @ c).ravel()])
-                for c in np.split(centered, starts)
+                for c in np.split(centered, starts[1:])
             ]
         )
         n_groups, n_blocks = len(groups), len(blocks)
@@ -392,4 +394,11 @@ class GaussianEstimator(Estimator):
         sums = grouped[:, 1 : d + 1, np.newaxis]
         products = grouped[:, d + 1 :].reshape(-1, d, d)
         cov = (products - sums * sums.transpose(0, 2, 1) / count) / (count - 1)
+        low, high = np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
+        if (low == high).any():
+            member = membership[:, :, np.newaxis] > 0
+            low = np.where(member, low, np.inf).min(axis=1)
+            constant = low == np.where(member, high, -np.inf).max(axis=1)
+            cov[constant] = 0.0
+            cov.transpose(0, 2, 1)[constant] = 0.0
         return _cmi_stack(cov[:, :dx, :dx], cov[:, :dx, dx:], cov[:, dx:, dx:], dy)[0]

@@ -81,8 +81,12 @@ def _test_from_dict(d: dict) -> TestResult:
     )
 
 
-def network_to_dict(net: NetworkResult, runtime_seconds: float = 0.0) -> dict:
-    """Canonical result schema for one network inference run."""
+def network_to_dict(net: NetworkResult) -> dict:
+    """Canonical result schema for one network inference run.
+
+    ``runtime_seconds`` stays 0.0, so that identical settings and seed give
+    byte-identical files.
+    """
     return {
         "settings": net.settings.to_dict(),
         "targets": [
@@ -119,14 +123,16 @@ def network_to_dict(net: NetworkResult, runtime_seconds: float = 0.0) -> dict:
             for l in net.links
         ],
         "n_links_tested": net.n_links_tested,
-        "runtime_seconds": runtime_seconds,
-        "seed": net.seed,
+        "runtime_seconds": 0.0,
+        "seed": net.settings.seed,
     }
 
 
 def network_from_dict(d: dict) -> NetworkResult:
     """Inverse of network_to_dict; exact on 17-significant-digit floats."""
     settings = InferenceSettings.from_dict(d["settings"])
+    if d["seed"] != settings.seed:
+        raise DataError(f"seed {d['seed']} differs from the settings seed {settings.seed}")
     targets = tuple(
         TargetResult(
             target=int(tr["target"]),
@@ -146,7 +152,6 @@ def network_from_dict(d: dict) -> NetworkResult:
             per_source_delay={
                 int(p): int(delay) for p, delay in tr["per_source_delay"].items()
             },
-            settings=settings,
         )
         for tr in d["targets"]
     )
@@ -166,12 +171,11 @@ def network_from_dict(d: dict) -> NetworkResult:
         links=links,
         n_links_tested=int(d["n_links_tested"]),
         settings=settings,
-        seed=int(d["seed"]),
     )
 
 
-def network_to_json(net: NetworkResult, runtime_seconds: float = 0.0) -> str:
-    return canonical_json(network_to_dict(net, runtime_seconds)) + "\n"
+def network_to_json(net: NetworkResult) -> str:
+    return canonical_json(network_to_dict(net)) + "\n"
 
 
 def network_from_json(text: str) -> NetworkResult:

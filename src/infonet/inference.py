@@ -2,25 +2,28 @@
 
 Each target is analysed on one :class:`TargetWorkspace`, built once, which
 embeds the target's present and every candidate column; every phase runs on
-it. :func:`select_target_past` builds the target's self-embedding (TE modes).
-:func:`select_sources` grows a parent set over lagged source variables by
-repeatedly taking the candidate with the largest conditional mutual
-information and gating it with a maximum-statistic permutation test; the
-conditioning set grows with every accepted variable, which removes redundant
-candidates and lets synergistic ones surface. :func:`prune` re-examines the
-accepted variables with a minimum-statistic test. :func:`infer_target` puts
-the survivors to a joint omnibus test and recomputes per-variable p-values by
-re-running the maximum-statistic construction over them in decreasing order
-of contribution. Bivariate modes run selection, prune and the final p-values
-once per source process. Network-level false discoveries are controlled with
-Benjamini-Hochberg across all candidate links.
+it. Selection and the final p-values are one loop of max-statistic steps:
+each takes the eligible candidate with the largest conditional mutual
+information, gates it with a maximum-statistic permutation test over the
+remaining pool, and moves it into the conditioning set, which removes
+redundant candidates and lets synergistic ones surface.
+:func:`select_target_past` (the target's self-embedding, TE modes) and
+:func:`select_sources` take steps while the test holds. :func:`prune`
+re-examines the accepted variables with a minimum-statistic test.
+:func:`infer_target` puts the survivors to a joint omnibus test, then takes
+every step over the source pool with only the survivors eligible, which
+gives each its p-value in decreasing order of contribution. Bivariate modes
+run selection, prune and the final p-values once per source process.
+Network-level false discoveries are controlled with Benjamini-Hochberg
+across all candidate links.
 """
-
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -161,7 +164,6 @@ class TargetResult:
     selected_sources: tuple[SelectedSource, ...]
     omnibus: TestResult
     per_source_delay: dict[int, int]
-    settings: InferenceSettings
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,6 @@ class NetworkResult:
     links: tuple[Link, ...]
     n_links_tested: int
     settings: InferenceSettings
-    seed: int
 
     @property
     def adjacency(self) -> tuple[Link, ...]:
@@ -320,109 +321,77 @@ def _groups(ws: TargetWorkspace, variables) -> list[list[VariableRef]]:
     return [[v for v in variables if v.process == p] for p in processes]
 
 
-def _max_step(
+def _max_steps(
     ws: TargetWorkspace,
     pool: list[VariableRef],
     conditioning: list[VariableRef],
     eligible,
-    policy: SurrogatePolicy,
-    n_perm: int,
-) -> tuple[int, float, TestResult]:
-    """Best eligible pool index, its CMI and its max-statistic test over the pool.
-
-    Ties are broken by (process asc, lag asc) for reproducibility.
-    """
-    z = ws.columns(conditioning)
-    cols = ws.columns(pool)
-    observed = ws.estimator.candidates_cmi(cols, ws.y, z)
-    best = min(eligible, key=lambda i: (-observed[i], pool[i].process, pool[i].lag))
-    cmi = float(observed[best])
-    test = max_statistic_test(
-        cols,
-        observed,
-        ws.y,
-        z,
-        ws.rep_ids,
-        ws.estimator,
-        policy,
-        n_perm,
-        ws.settings.alpha_max,
-        observed_statistic=cmi,
-    )
-    return best, cmi, test
-
-
-def _greedy_select(
-    ws: TargetWorkspace,
-    pool: list[VariableRef],
-    conditioning: list[VariableRef],
     phase: int,
-) -> list[VariableRef]:
-    """Grow a variable set by argmax-CMI steps gated with the max-statistic test."""
-    remaining = sorted(pool, key=VariableRef.sort_key)
-    selected: list[VariableRef] = []
-    while remaining:
-        best, _, test = _max_step(
-            ws,
-            remaining,
-            conditioning + selected,
-            range(len(remaining)),
-            ws.policy(phase, len(selected)),
-            ws.settings.n_perm_max,
-        )
-        if not test.significant:
-            break
-        selected.append(remaining.pop(best))
-    return selected
-
-
-def _sequential_stats(
-    ws: TargetWorkspace,
-    survivors: list[VariableRef],
-    conditioning: list[VariableRef],
-    full_pool: list[VariableRef],
     first_step: int,
-) -> list[SelectedSource]:
-    """Final per-variable p-values: re-run the max-statistic construction.
+    n_perm: int,
+) -> Iterator[tuple[VariableRef, float, TestResult]]:
+    """Greedy max-statistic steps over ``pool``, yielding ``(variable, cmi, test)``.
 
-    Surviving variables are assigned in decreasing order of conditional
-    contribution; at each step the null is the maximum statistic over the
-    original candidate pool minus the variables already assigned, mirroring
-    the multiple-comparison structure of the selection loop.
+    Each step takes the candidate of the pool in ``eligible`` with the largest
+    CMI given the conditioning, ties broken by (process asc, lag asc) for
+    reproducibility, and gates it with the max-statistic test over the
+    remaining pool; the variable then leaves the pool and joins the
+    conditioning. Step k draws its surrogates with the seed of step
+    ``first_step + k`` of ``phase``. The steps end when no eligible
+    candidate remains, or when the caller stops asking.
     """
-    pool = sorted(full_pool, key=VariableRef.sort_key)
-    unassigned = set(survivors)
-    assigned: list[VariableRef] = []
-    out: list[SelectedSource] = []
-    while unassigned:
-        best, cmi, test = _max_step(
-            ws,
-            pool,
-            conditioning + assigned,
-            [i for i, v in enumerate(pool) if v in unassigned],
-            ws.policy(PHASE_SEQUENTIAL, first_step + len(assigned)),
-            ws.settings.n_perm_seq,
+    pool = sorted(pool, key=VariableRef.sort_key)
+    conditioning = list(conditioning)
+    eligible = set(eligible).intersection(pool)
+    step = first_step
+    while eligible:
+        z = ws.columns(conditioning)
+        cols = ws.columns(pool)
+        observed = ws.estimator.candidates_cmi(cols, ws.y, z)
+        best = min(
+            (i for i, v in enumerate(pool) if v in eligible),
+            key=lambda i: (-observed[i], pool[i].process, pool[i].lag),
+        )
+        cmi = float(observed[best])
+        test = max_statistic_test(
+            cols,
+            observed,
+            ws.y,
+            z,
+            ws.rep_ids,
+            ws.estimator,
+            ws.policy(phase, step),
+            n_perm,
+            ws.settings.alpha_max,
+            observed_statistic=cmi,
         )
         variable = pool.pop(best)
-        out.append(SelectedSource(variable=variable, cmi_bits=cmi, p_value=test.p_value))
-        assigned.append(variable)
-        unassigned.remove(variable)
-    return out
+        yield variable, cmi, test
+        conditioning.append(variable)
+        eligible.remove(variable)
+        step += 1
+
+
+def _select(
+    ws: TargetWorkspace, pool: list[VariableRef], conditioning: list[VariableRef], phase: int
+) -> list[VariableRef]:
+    """The variables of the max-statistic steps over ``pool`` up to the first failed test."""
+    steps = _max_steps(ws, pool, conditioning, pool, phase, 0, ws.settings.n_perm_max)
+    return [variable for variable, _, _ in takewhile(lambda step: step[2].significant, steps)]
 
 
 def select_target_past(ws: TargetWorkspace) -> list[VariableRef]:
     """Greedy self-embedding of the target over ``ws.past_pool``."""
-    return _greedy_select(ws, ws.past_pool, [], PHASE_TARGET_PAST)
+    return _select(ws, ws.past_pool, [], PHASE_TARGET_PAST)
 
 
 def select_sources(
     ws: TargetWorkspace, conditioning: list[VariableRef]
 ) -> list[VariableRef]:
     """Greedy source-variable selection given a fixed base conditioning set."""
-    conditioning = list(conditioning)
     selected: list[VariableRef] = []
     for group in _groups(ws, ws.source_pool):
-        selected.extend(_greedy_select(ws, group, conditioning, PHASE_SOURCES))
+        selected.extend(_select(ws, group, conditioning, PHASE_SOURCES))
     return selected
 
 
@@ -461,7 +430,6 @@ def _trivial_target_result(target: int, settings: InferenceSettings) -> TargetRe
         selected_sources=(),
         omnibus=TestResult(0.0, 1.0, False, settings.n_perm_omnibus, settings.alpha_omnibus),
         per_source_delay={},
-        settings=settings,
     )
 
 
@@ -488,11 +456,15 @@ def infer_target(dataset: Dataset, target: int, settings: InferenceSettings) -> 
     if not omnibus.significant:
         survivors = []
 
-    # Step seeds continue across bivariate groups.
+    # Final p-values: the max-statistic steps over each group's whole pool,
+    # taken until every survivor is assigned, in decreasing order of its
+    # conditional contribution. Step seeds continue across bivariate groups.
     sources: list[SelectedSource] = []
     for group in _groups(ws, ws.source_pool):
-        own = [v for v in group if v in survivors]
-        sources.extend(_sequential_stats(ws, own, past, group, len(sources)))
+        steps = _max_steps(
+            ws, group, past, survivors, PHASE_SEQUENTIAL, len(sources), settings.n_perm_seq
+        )
+        sources.extend(SelectedSource(v, cmi, test.p_value) for v, cmi, test in steps)
 
     delays: dict[int, int] = {}
     for p in sorted({s.variable.process for s in sources}):
@@ -506,7 +478,6 @@ def infer_target(dataset: Dataset, target: int, settings: InferenceSettings) -> 
         selected_sources=tuple(sources),
         omnibus=omnibus,
         per_source_delay=delays,
-        settings=settings,
     )
 
 
@@ -573,5 +544,4 @@ def infer_network(
         links=links,
         n_links_tested=n_tested,
         settings=settings,
-        seed=settings.seed,
     )

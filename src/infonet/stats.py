@@ -11,10 +11,11 @@ test. Within one draw, every column shares the same per-replication offsets,
 which makes the joint (omnibus) surrogation a special case of the same
 machinery.
 
-A test builds its surrogates once, as (n_permutations, blocks) draws, never
-as an (n_permutations, n) index matrix: one :func:`surrogate_indices` call
-draws every right rotation of a circular shift, or every block order of a
-replication shuffle. The estimator gets them as a :class:`SurrogateBatch`
+The three tests share one null: a test checks its arguments and builds its
+surrogates once, before any estimate, as (n_permutations, blocks) draws,
+never as an (n_permutations, n) index matrix: one :func:`surrogate_indices`
+call draws every right rotation of a circular shift, or every block order of
+a replication shuffle. The estimator gets them as a :class:`SurrogateBatch`
 holding a column block, the draws, the blocks and the method, with every
 draw in one ``Estimator.cmi_surrogate_batch`` call. A max test makes one
 call for its whole pool: every candidate column is one candidate of the
@@ -29,7 +30,6 @@ member's cross-covariance from the draws without gathering rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -156,23 +156,33 @@ def permutation_pvalue(observed: float, null_values: np.ndarray) -> float:
     return (c + 1) / (null_values.size + 1)
 
 
-def _check_rows(columns: np.ndarray, y, z, rep_ids) -> None:
-    """Every argument of a test must have one row per observation."""
+def _surrogate_null(columns, y, z, rep_ids, estimator, policy, n_perm, alpha):
+    """Check a test's arguments and draw its surrogates once, before any estimate.
+
+    Every argument must have one row per observation. Returns the test's
+    null: a function of a column block, its conditioning and its candidate
+    width that gives the block's surrogate CMIs under the test's draws,
+    shaped (candidates, n_perm).
+    """
     n = columns.shape[0]
     for name, arg in (("rep_ids", rep_ids), ("y", y), ("z", z)):
         if arg is not None and np.size(arg) and np.shape(arg)[0] != n:
             raise StatsError(f"{name} has {np.shape(arg)[0]} rows, the columns have {n}")
-
-
-def _surrogate_batches(rep_ids: np.ndarray, policy: SurrogatePolicy, n_perm: int):
-    """A test's draws, built once: maps a column block to its :class:`SurrogateBatch`."""
+    check_permutation_count(n_perm, alpha)
     blocks = replication_blocks(rep_ids)
-    return partial(
-        SurrogateBatch,
-        draws=surrogate_indices(blocks, policy, n_perm),
-        blocks=tuple(blocks),
-        method=policy.method,
-    )
+    draws = surrogate_indices(blocks, policy, n_perm)
+
+    def null(block: np.ndarray, z, width: int | None = None) -> np.ndarray:
+        batch = SurrogateBatch(block, draws, tuple(blocks), policy.method, width)
+        return estimator.cmi_surrogate_batch(batch, y, z).reshape(-1, n_perm)
+
+    return null
+
+
+def _result(statistic: float, null: np.ndarray, alpha: float) -> TestResult:
+    """The test's outcome for a statistic against its 1-D null values."""
+    p = permutation_pvalue(statistic, null)
+    return TestResult(float(statistic), p, p < alpha, null.size, alpha)
 
 
 def max_statistic_test(
@@ -198,16 +208,9 @@ def max_statistic_test(
     observed_cmis = np.asarray(observed_cmis, dtype=np.float64)
     if candidate_columns.shape[1] != observed_cmis.size or observed_cmis.size == 0:
         raise StatsError("need one observed CMI per candidate column")
-    _check_rows(candidate_columns, y, z, rep_ids)
-    check_permutation_count(n_perm, alpha)
-    batch = _surrogate_batches(rep_ids, policy, n_perm)(candidate_columns, width=1)
-    null = estimator.cmi_surrogate_batch(batch, y, z)
-    null_max = null.reshape(candidate_columns.shape[1], n_perm).max(axis=0)
-    statistic = (
-        float(observed_cmis.max()) if observed_statistic is None else float(observed_statistic)
-    )
-    p = permutation_pvalue(statistic, null_max)
-    return TestResult(statistic, p, p < alpha, n_perm, alpha)
+    null = _surrogate_null(candidate_columns, y, z, rep_ids, estimator, policy, n_perm, alpha)
+    statistic = observed_cmis.max() if observed_statistic is None else observed_statistic
+    return _result(statistic, null(candidate_columns, z, width=1).max(axis=0), alpha)
 
 
 def min_statistic_test(
@@ -231,8 +234,7 @@ def min_statistic_test(
     m = selected_columns.shape[1]
     if m == 0:
         raise StatsError("min-statistic test needs at least one selected variable")
-    _check_rows(selected_columns, y, z_base, rep_ids)
-    check_permutation_count(n_perm, alpha)
+    null = _surrogate_null(selected_columns, y, z_base, rep_ids, estimator, policy, n_perm, alpha)
     base = as_yz(y, z_base, selected_columns.shape[0])[1]
 
     def conditioning(j: int) -> np.ndarray:
@@ -246,14 +248,8 @@ def min_statistic_test(
         ]
     )
     weakest = int(np.argmin(observed))
-    surrogates = _surrogate_batches(rep_ids, policy, n_perm)
-    null_min = np.full(n_perm, np.inf)
-    for j in range(m):
-        batch = surrogates(selected_columns[:, j : j + 1])
-        vals = estimator.cmi_surrogate_batch(batch, y, conditioning(j))
-        np.minimum(null_min, vals, out=null_min)
-    p = permutation_pvalue(float(observed[weakest]), null_min)
-    result = TestResult(float(observed[weakest]), p, p < alpha, n_perm, alpha)
+    nulls = [null(selected_columns[:, j : j + 1], conditioning(j)) for j in range(m)]
+    result = _result(observed[weakest], np.concatenate(nulls).min(axis=0), alpha)
     return MinStatOutcome(weakest=weakest, result=result)
 
 
@@ -276,13 +272,9 @@ def omnibus_test(
     source_columns = as_columns(source_columns)
     if source_columns.shape[1] == 0:
         return TestResult(0.0, 1.0, False, n_perm, alpha)
-    _check_rows(source_columns, y, z, rep_ids)
-    check_permutation_count(n_perm, alpha)
+    null = _surrogate_null(source_columns, y, z, rep_ids, estimator, policy, n_perm, alpha)
     observed = estimator.cmi_value(source_columns, y, z)
-    batch = _surrogate_batches(rep_ids, policy, n_perm)(source_columns)
-    null = estimator.cmi_surrogate_batch(batch, y, z)
-    p = permutation_pvalue(observed, null)
-    return TestResult(float(observed), p, p < alpha, n_perm, alpha)
+    return _result(observed, null(source_columns, z)[0], alpha)
 
 
 def fdr_correct(p_values, alpha: float = 0.05, m: int | None = None) -> np.ndarray:

@@ -136,9 +136,7 @@ class TestInferWarnings:
         assert run_cli(["infer", "--config", str(config), "--output", str(out_path)]) == 0
         err = capsys.readouterr().err
         assert "warning: constant series: process 0, replication 1" in err
-        expected = network_to_json(
-            infer_network(load_csv(paths), InferenceSettings(seed=9)), runtime_seconds=0.0
-        )
+        expected = network_to_json(infer_network(load_csv(paths), InferenceSettings(seed=9)))
         assert out_path.read_text() == expected
 
 

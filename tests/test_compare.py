@@ -199,7 +199,7 @@ def _hand_built_network(links: dict) -> NetworkResult:
     """
     settings = InferenceSettings()
     empty = stats.TestResult(0.0, 1.0, False, 500, 0.05)
-    targets = [TargetResult(t, (), (), empty, {}, settings) for t in range(2)]
+    targets = [TargetResult(t, (), (), empty, {}) for t in range(2)]
     targets.append(
         TargetResult(
             target=2,
@@ -210,11 +210,10 @@ def _hand_built_network(links: dict) -> NetworkResult:
             ),
             omnibus=stats.TestResult(0.1, 0.002, True, 500, 0.05),
             per_source_delay={source: lag for (source, _), (lag, _) in links.items()},
-            settings=settings,
         )
     )
     reported = tuple(
         Link(source, target, 0.05, lag, 0.005 if survives else 0.04, survives)
         for (source, target), (lag, survives) in sorted(links.items())
     )
-    return NetworkResult(tuple(targets), reported, 6, settings, settings.seed)
+    return NetworkResult(tuple(targets), reported, 6, settings)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from infonet import (
     Coupling,
@@ -15,7 +16,8 @@ from infonet import (
     to_csv_adjacency,
     to_dot,
 )
-from infonet.export import canonical_json
+from infonet.errors import DataError
+from infonet.export import canonical_json, network_from_dict, network_to_dict
 
 
 def _small_network(seed=140):
@@ -51,6 +53,14 @@ class TestNetworkRoundTrip:
         net = _small_network()
         text = network_to_json(net)
         assert network_from_json(text) == net
+
+    def test_seed_must_equal_the_settings_seed(self):
+        d = network_to_dict(_small_network())
+        assert d["seed"] == d["settings"]["seed"] == 141
+        assert d["runtime_seconds"] == 0.0
+        d["seed"] = 142
+        with pytest.raises(DataError, match="seed 142 differs from the settings seed 141"):
+            network_from_dict(d)
 
     def test_repeated_serialization_identical(self):
         net = _small_network(150)

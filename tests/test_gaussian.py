@@ -578,6 +578,45 @@ class TestGroupCmis:
             with pytest.raises(SingularCovarianceError):
                 group_cmis(blocks, [[0, 1], [2]])
 
+    @staticmethod
+    def _with_column(blocks, side, values):
+        """``blocks`` with column 0 of x, y or z (side 0, 1, 2) of block b set to values[b]."""
+        out = []
+        for block, value in zip(blocks, values):
+            block = [a.copy() for a in block]
+            if value is not None:
+                block[side][:, 0] = value
+            out.append(tuple(block))
+        return out
+
+    @staticmethod
+    def _value_or_error(group_cmis, blocks, groups):
+        try:
+            return group_cmis(blocks, groups).tolist()
+        except SingularCovarianceError as err:
+            return type(err)
+
+    @pytest.mark.parametrize("side", ["x", "y", "z"])
+    def test_column_constant_across_a_group_follows_the_default(self, side):
+        # Constant at 1.3 in blocks 0 and 1 only, so the pooled mean is not 1.3.
+        blocks = self._with_column(
+            _coupled_blocks([25, 33, 40, 41]), "xyz".index(side), [1.3, 1.3, None, None]
+        )
+        moments, default = (
+            self._value_or_error(f, blocks, [[0, 1], [1, 0]]) for f in self._both_paths()
+        )
+        assert moments == default == ([0.0, 0.0] if side != "z" else SingularCovarianceError)
+
+    @pytest.mark.parametrize("side", ["x", "y", "z"])
+    def test_column_constant_per_block_only_is_not_flagged(self, side):
+        blocks = self._with_column(
+            _coupled_blocks([25, 33, 40, 41]), "xyz".index(side), [1.3, 2.5, 3.0, 4.0]
+        )
+        groups = [[0, 1], [1, 2, 3], [0, 2]]
+        moments, default = (f(blocks, groups) for f in self._both_paths())
+        assert np.all(default[:2] != 0.0)
+        assert np.max(np.abs(moments - default)) <= 1e-12
+
     def test_short_group_raises_on_both_paths(self):
         blocks = _coupled_blocks([4, 100, 96])
         for group_cmis in self._both_paths():

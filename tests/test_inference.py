@@ -420,14 +420,18 @@ class TestEstimatorAgreement:
 
 
 class TestPinnedNetwork:
-    """The canonical JSON of two small Gaussian networks, pinned by its sha256.
+    """Exact outputs of small analyses: network JSON pinned by its sha256.
 
-    A refactor that claims identical results must keep both digests. A
-    change of the random streams or of the estimator's rounding moves them
-    on purpose, and the new digests are then pinned here.
+    A refactor that claims identical results must keep every pin. A change
+    of the random streams or of the estimator's rounding moves them on
+    purpose, and the new values are then pinned here.
     """
 
     TOPOLOGY = (Coupling(0, 1, 2, 0.5), Coupling(1, 2, 1, 0.5))
+
+    @staticmethod
+    def _digest(net) -> str:
+        return hashlib.sha256(network_to_json(net).encode()).hexdigest()
 
     @pytest.mark.parametrize(
         "surrogate, replications, seed, digest",
@@ -456,5 +460,60 @@ class TestPinnedNetwork:
         )
         net = infer_network(generate_dataset(spec), InferenceSettings(surrogate=surrogate, seed=33))
         assert {(l.source, l.target) for l in net.adjacency} == {(0, 1), (1, 2)}
-        text = network_to_json(net)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert self._digest(net) == digest
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("bivariate_te", "bbdf74e5a2ed43ac5ea2c45427d7faaedfd27ad24c3e77065f44741017d345fb"),
+            ("multivariate_mi", "249fe5eeee786bd78dad615e886ec16fbf290e7ad44d828712abd104a3177342"),
+        ],
+    )
+    def test_mode_digest(self, mode, digest):
+        spec = GroundTruthSpec(n_processes=3, n_samples=300, topology=self.TOPOLOGY, seed=31)
+        net = infer_network(generate_dataset(spec), InferenceSettings(mode=mode, seed=33))
+        assert self._digest(net) == digest
+
+    def test_bivariate_step_seeds_continue_across_groups(self):
+        # Target 1's second source group gets p = 6/201 from the step seeds
+        # that continue after the first group; restarted seeds give 16/201.
+        topology = self.TOPOLOGY + (Coupling(0, 2, 1, 0.5),)
+        spec = GroundTruthSpec(n_processes=3, n_samples=300, topology=topology, seed=31)
+        settings = InferenceSettings(mode="bivariate_te", seed=33)
+        net = infer_network(generate_dataset(spec), settings)
+        assert [s.p_value for s in net.targets[1].selected_sources] == [1 / 201, 6 / 201]
+        assert self._digest(net) == (
+            "9bd6034eff236159b88810159efa14c3f9b51f8e4284d130b45bd5c8c98b042a"
+        )
+
+    def test_knn_digest(self):
+        # Target 1 keeps three sources, so the sequential phase takes three steps.
+        topology = (Coupling(0, 1, 2, 0.7), Coupling(1, 2, 1, 0.7))
+        spec = GroundTruthSpec(n_processes=3, n_samples=150, topology=topology, seed=31)
+        settings = InferenceSettings(
+            estimator="knn",
+            seed=33,
+            max_lag_sources=3,
+            max_lag_target=2,
+            n_perm_max=30,
+            n_perm_min=30,
+            n_perm_omnibus=30,
+            n_perm_seq=30,
+            alpha_max=0.1,
+            alpha_min=0.1,
+            alpha_omnibus=0.1,
+            alpha_fdr=0.1,
+        )
+        net = infer_network(generate_dataset(spec), settings)
+        assert len(net.targets[1].selected_sources) == 3
+        assert self._digest(net) == (
+            "c32176ae02ec5ee94c807b60bbd64354afc60ca70172ff6d45a8849688b20cac"
+        )
+
+    def test_ais(self):
+        topology = (Coupling(0, 0, 1, 0.4), Coupling(0, 0, 3, 0.4))
+        spec = GroundTruthSpec(n_processes=1, n_samples=300, topology=topology, seed=31)
+        result = ais_estimate(generate_dataset(spec), 0, InferenceSettings(seed=33))
+        assert result.selected_embedding == (VariableRef(0, 1), VariableRef(0, 3))
+        assert result.value_bits == 0.31403741386521167
+        assert result.test.p_value == 0.001996007984031936
