@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .ais import ais_estimate
 from .compare import compare_networks, union_link_structures
-from .data import KIND_DISCRETE, Dataset, load_csv, save_csv
+from .data import load_csv, save_csv
 from .errors import ConfigError, InferenceError, InfonetError
 from .export import (
     canonical_json,
@@ -214,19 +214,10 @@ def _cmd_pid(args) -> int:
         raise ConfigError("'pid' requires an input CSV with columns s1, s2, target")
     alphabet_sizes = cfg.get("alphabet_sizes")
     raw = load_csv(input_path)
-    # Without given sizes, the largest symbol in the file sets the alphabet.
-    alphabet = int(max(alphabet_sizes)) if alphabet_sizes else int(raw.values.max()) + 1
-    dataset = Dataset(values=raw.values, kind=KIND_DISCRETE, alphabet_size=alphabet)
-    if dataset.n_processes != 3:
-        raise ConfigError(
-            f"'pid' input must have exactly 3 columns, got {dataset.n_processes}"
-        )
-    atoms = pid_from_data(
-        dataset.values[0, :, 0],
-        dataset.values[1, :, 0],
-        dataset.values[2, :, 0],
-        tuple(alphabet_sizes) if alphabet_sizes else None,
-    )
+    if raw.n_processes != 3:
+        raise ConfigError(f"'pid' input must have exactly 3 columns, got {raw.n_processes}")
+    # Without given sizes, each column's largest symbol sets its alphabet.
+    atoms = pid_from_data(*raw.values[:, :, 0], alphabet_sizes or None)
     payload = {
         "redundancy": atoms.redundancy,
         "unique_1": atoms.unique_1,

@@ -192,8 +192,6 @@ class Estimator:
     gathers rows and shares the (y, z) work across every candidate.
     """
 
-    name = "base"
-
     def cmi(self, x, y, z=None) -> InfoValue:
         raise NotImplementedError
 

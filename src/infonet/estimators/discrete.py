@@ -2,8 +2,11 @@
 
 Counts are sparse (symbol tuples are packed into mixed-radix integer keys)
 so the greedy loop can grow conditioning sets without allocating dense joint
-tables. No bias correction is applied; the surrogate tests absorb estimator
-bias under the null.
+tables. ``_encode_columns`` is the one checked encoder: it rejects a state
+space over the cap and symbols outside their alphabet. The CMI encodes x, y
+and z once each and composes the keys of the xyz, xz, yz and z groupings
+from those three, with z as the last digits. No bias correction is applied;
+the surrogate tests absorb estimator bias under the null.
 """
 
 from __future__ import annotations
@@ -38,15 +41,14 @@ class JointCounts:
             raise DataError("count total does not match the sum of counts")
 
 
+def _check_state_space(alphabet_sizes: tuple[int, ...], cap: int) -> None:
+    if math.prod(map(int, alphabet_sizes)) > cap:
+        raise StateSpaceTooLargeError(f"joint state space exceeds cap of {cap} states")
+
+
 def _encode_columns(cols: np.ndarray, alphabet_sizes: tuple[int, ...], cap: int) -> np.ndarray:
-    """Pack integer columns into one mixed-radix key per row."""
-    states = 1
-    for a in alphabet_sizes:
-        states *= int(a)
-        if states > cap:
-            raise StateSpaceTooLargeError(
-                f"joint state space exceeds cap of {cap} states"
-            )
+    """Pack integer columns into one mixed-radix key per row, first column most significant."""
+    _check_state_space(alphabet_sizes, cap)
     keys = np.zeros(cols.shape[0], dtype=np.int64)
     for j, a in enumerate(alphabet_sizes):
         col = cols[:, j]
@@ -76,17 +78,11 @@ def counts_from_columns(
         raise DataError("one alphabet size required per column")
     keys = _encode_columns(icols, sizes, state_cap)
     uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    mapping = {}
-    for key, count in zip(uniq.tolist(), counts.tolist()):
-        symbol = []
-        rem = key
-        for a in reversed(sizes):
-            symbol.append(rem % a)
-            rem //= a
-        mapping[tuple(reversed(symbol))] = count
+    # A leading unit axis keeps one (empty) symbol per key when there are no columns.
+    symbols = np.stack(np.unravel_index(uniq, (1, *sizes)), axis=1)[:, 1:]
     return JointCounts(
         alphabet_sizes=sizes,
-        counts=mapping,
+        counts=dict(zip(map(tuple, symbols.tolist()), counts.tolist())),
         total=icols.shape[0],
         row_keys=inverse,
         key_counts=counts,
@@ -107,14 +103,10 @@ def plugin_entropy(counts: JointCounts) -> InfoValue:
     return InfoValue(value=value, local=local)
 
 
-def _group_log_probs(parts: list[np.ndarray], alphabet_size: int, cap: int) -> np.ndarray:
-    """log2 empirical probability of each row's symbol tuple over the joined parts."""
-    cols = np.concatenate(parts, axis=1)
-    if cols.shape[1] == 0:
-        return np.zeros(cols.shape[0])
-    keys = _encode_columns(cols, (alphabet_size,) * cols.shape[1], cap)
+def _log_probs(keys: np.ndarray) -> np.ndarray:
+    """log2 empirical probability of each row's key."""
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return np.log2(counts[inverse] / cols.shape[0])
+    return np.log2(counts[inverse] / keys.size)
 
 
 def plugin_cmi(
@@ -130,21 +122,24 @@ def plugin_cmi(
     per-observation log-ratios; their mean equals the entropy combination
     exactly.
     """
-    xi, yi, zi = (_as_int_columns(cols) for cols in as_xyz(x, y, z))
+    parts = [_as_int_columns(cols) for cols in as_xyz(x, y, z)]
     a = int(alphabet_size)
-    # The full joint is the largest space, so its encoding is the cap check.
-    lp_xyz = _group_log_probs([xi, yi, zi], a, state_cap)
-    lp_xz = _group_log_probs([xi, zi], a, state_cap)
-    lp_yz = _group_log_probs([yi, zi], a, state_cap)
-    lp_z = _group_log_probs([zi], a, state_cap)
-    local = lp_xyz + lp_z - lp_xz - lp_yz
+    # The full joint is the largest space, so checking it covers every grouping.
+    _check_state_space((a,) * sum(p.shape[1] for p in parts), state_cap)
+    kx, ky, kz = (_encode_columns(p, (a,) * p.shape[1], state_cap) for p in parts)
+    # Composed keys equal the encodings of the concatenated columns.
+    sy, sz = (a ** p.shape[1] for p in parts[1:])
+    local = (
+        _log_probs((kx * sy + ky) * sz + kz)
+        + _log_probs(kz)
+        - _log_probs(kx * sz + kz)
+        - _log_probs(ky * sz + kz)
+    )
     return InfoValue(value=float(local.mean()), local=local)
 
 
 class DiscreteEstimator(Estimator):
     """Adapter exposing the plug-in estimator behind the common API."""
-
-    name = "discrete"
 
     def __init__(self, alphabet_size: int, state_cap: int = DEFAULT_STATE_CAP):
         if alphabet_size < 1:

@@ -310,8 +310,6 @@ def _shuffled_cross(xc, fixed_c, n_blocks: int, orders) -> np.ndarray:
 class GaussianEstimator(Estimator):
     """Adapter exposing the linear-Gaussian estimator behind the common API."""
 
-    name = "gaussian"
-
     def cmi(self, x, y, z=None) -> InfoValue:
         return gaussian_cmi(x, y, z, with_local=True)
 

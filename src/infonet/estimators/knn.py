@@ -148,8 +148,6 @@ class KnnEstimator(Estimator):
     module docstring.
     """
 
-    name = "knn"
-
     def __init__(self, settings: KnnSettings = KnnSettings()):
         self.settings = settings
 

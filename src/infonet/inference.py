@@ -258,7 +258,6 @@ class TargetWorkspace:
             raise DataError(f"target process {target} out of range")
         _check_target(dataset, target)
         dataset = prepare_dataset(dataset, settings)
-        self.dataset = dataset
         self.target = target
         self.settings = settings
         self.estimator = make_estimator(settings, dataset, target)

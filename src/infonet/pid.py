@@ -4,7 +4,14 @@ Splits the joint information two sources carry about a target into redundant,
 unique and synergistic parts. Redundancy is the expected minimum specific
 information: for each target state, each source's specific information is the
 expected log-ratio between the posterior and prior target probability, and
-the weaker of the two is what both sources share.
+the weaker of the two is what both sources share. Every mutual information
+is the p(t)-weighted sum of specific information, I(S;T) = sum_t p(t) I(T=t;S),
+so a source whose specific information never exceeds the other's has a
+unique part of exactly zero.
+
+Empirical counts go through the plug-in estimator's checked encoder: a symbol
+outside its alphabet raises ``DataError`` and a table over the state cap
+raises ``StateSpaceTooLargeError`` before it is allocated.
 
 Conventions: 0 * log 0 = 0, and conditionals on zero-probability events
 contribute nothing.
@@ -12,13 +19,13 @@ contribute nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import KIND_DISCRETE
 from .errors import DataError
-from .estimators.discrete import _as_int_columns
+from .estimators.discrete import DEFAULT_STATE_CAP, _as_int_columns, _encode_columns
 
 
 @dataclass(frozen=True)
@@ -60,22 +67,6 @@ class PidAtoms:
     synergy: float
 
 
-def _xlog2x_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """log2(num/den) where both are positive, 0 elsewhere."""
-    out = np.zeros_like(num)
-    ok = (num > 0) & (den > 0)
-    out[ok] = np.log2(num[ok] / den[ok])
-    return out
-
-
-def _mutual_information(joint: np.ndarray) -> float:
-    """Plug-in MI of a 2-D joint probability table, in bits."""
-    px = joint.sum(axis=1, keepdims=True)
-    py = joint.sum(axis=0, keepdims=True)
-    ratio = _xlog2x_ratio(joint, px * py)
-    return float((joint * ratio).sum())
-
-
 def _specific_information(joint_st: np.ndarray) -> np.ndarray:
     """I(T = t; S) for each target state t, from a (s, t) joint table.
 
@@ -114,16 +105,11 @@ def pid_williams_beer(dist: JointDistribution3) -> PidAtoms:
     if np.count_nonzero(p_t > 0) < 2:
         return PidAtoms(0.0, 0.0, 0.0, 0.0)
 
-    joint_1t = p.sum(axis=1)  # (s1, t)
-    joint_2t = p.sum(axis=0)  # (s2, t)
-    spec_1 = _specific_information(joint_1t)
-    spec_2 = _specific_information(joint_2t)
+    spec_1 = _specific_information(p.sum(axis=1))  # from the (s1, t) table
+    spec_2 = _specific_information(p.sum(axis=0))  # from the (s2, t) table
+    spec_12 = _specific_information(p.reshape(-1, p.shape[2]))  # ((s1, s2), t)
     redundancy = float((p_t * np.minimum(spec_1, spec_2)).sum())
-
-    mi_1 = _mutual_information(joint_1t)
-    mi_2 = _mutual_information(joint_2t)
-    joint_12t = p.reshape(-1, p.shape[2])  # ((s1*s2), t)
-    mi_12 = _mutual_information(joint_12t)
+    mi_1, mi_2, mi_12 = (float((p_t * spec).sum()) for spec in (spec_1, spec_2, spec_12))
 
     return PidAtoms(
         redundancy=redundancy,
@@ -140,7 +126,10 @@ def pid_from_data(s1, s2, t, alphabet_sizes: tuple[int, int, int] | None = None)
     if any(c.size != n for c in cols):
         raise DataError("s1, s2 and t must have equal length")
     if alphabet_sizes is None:
-        alphabet_sizes = tuple(int(c.max()) + 1 for c in cols)
-    counts = np.zeros(alphabet_sizes, dtype=np.float64)
-    np.add.at(counts, (cols[0], cols[1], cols[2]), 1.0)
+        alphabet_sizes = [c.max() + 1 for c in cols]
+    sizes = tuple(int(a) for a in alphabet_sizes)
+    if len(sizes) != 3:
+        raise DataError(f"expected three alphabet sizes (s1, s2, t), got {len(sizes)}")
+    keys = _encode_columns(np.column_stack(cols), sizes, DEFAULT_STATE_CAP)
+    counts = np.bincount(keys, minlength=math.prod(sizes)).reshape(sizes)
     return pid_williams_beer(JointDistribution3.from_counts(counts))

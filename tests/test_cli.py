@@ -182,6 +182,15 @@ class TestPid:
         assert atoms["synergy"] == pytest.approx(1.0, abs=1e-12)
         assert atoms["unique_1"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_symbol_outside_given_alphabet_exit_3(self, tmp_path, capsys):
+        # s1 holds a 2, but its given alphabet is binary.
+        data = tmp_path / "pid.csv"
+        data.write_text("0,0,0\n2,1,1\n1,2,0\n")
+        config = tmp_path / "pid.json"
+        config.write_text(json.dumps({"input": str(data), "alphabet_sizes": [2, 3, 2]}))
+        assert run_cli(["pid", "--config", str(config)]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_wrong_column_count_exit_2(self, tmp_path):
         data = tmp_path / "two.csv"
         data.write_text("0,1\n1,0\n")

@@ -1,5 +1,6 @@
 """Plug-in discrete estimator: hand values, exhaustive oracle, exact locals."""
 
+import hashlib
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from infonet import (
     plugin_cmi,
     plugin_entropy,
 )
+from infonet.estimators import discrete
 
 
 def oracle_entropy(symbols):
@@ -117,11 +119,70 @@ class TestConditionalMutualInformation:
         out = plugin_cmi(x, y, z)
         assert np.mean(out.local) == pytest.approx(out.value, abs=1e-12)
 
+    @pytest.mark.parametrize("dz", [0, 2])
+    def test_each_argument_encoded_once(self, monkeypatch, dz):
+        encoded = []
+        encode = discrete._encode_columns
+
+        def counting(cols, *args):
+            encoded.append(cols.shape[1])
+            return encode(cols, *args)
+
+        monkeypatch.setattr(discrete, "_encode_columns", counting)
+        rng = np.random.default_rng(66)
+        x, y, z = (rng.integers(0, 2, size=(50, d)) for d in (1, 2, dz))
+        plugin_cmi(x, y, z)
+        assert encoded == [1, 2, dz]
+
     def test_state_space_cap(self):
         x = np.zeros((10, 12), dtype=int)
         y = np.zeros((10, 12), dtype=int)
         with pytest.raises(StateSpaceTooLargeError):
             plugin_cmi(x, y, None, alphabet_size=8, state_cap=10_000)
+
+
+class TestPinned:
+    """Exact plug-in values on fixed symbols: value, sha256 of the locals, counts."""
+
+    @staticmethod
+    def _blocks():
+        rng = np.random.default_rng(65)
+        x = rng.integers(0, 3, size=(200, 1))
+        y = rng.integers(0, 3, size=(200, 2))
+        z = rng.integers(0, 3, size=(200, 2))
+        return x, y, z
+
+    @pytest.mark.parametrize(
+        "with_z, value, digest",
+        [
+            (
+                False,
+                0.0853402467648055,
+                "6d14c4fd61e9d5bc93d7734b18c8e77191b6f4b35cde737a1a9e7889213b9c52",
+            ),
+            (
+                True,
+                0.45844169992608796,
+                "e5b597573fbad237cc47f241aab4bd893367266132a100fd3c4930b9b28929bd",
+            ),
+        ],
+    )
+    def test_plugin_cmi(self, with_z, value, digest):
+        x, y, z = self._blocks()
+        out = plugin_cmi(x, y, z if with_z else None, alphabet_size=3)
+        assert out.value == value
+        assert hashlib.sha256(out.local.tobytes()).hexdigest() == digest
+
+    def test_counts_from_columns(self):
+        x, _, z = self._blocks()
+        counts = counts_from_columns(np.hstack([x, z])[:30], (3, 3, 3))
+        assert counts.counts == {
+            (0, 0, 0): 1, (0, 1, 0): 3, (0, 1, 1): 1, (0, 1, 2): 3, (0, 2, 0): 1,
+            (0, 2, 1): 1, (0, 2, 2): 3, (1, 0, 2): 1, (1, 1, 0): 2, (1, 1, 1): 1,
+            (1, 1, 2): 2, (1, 2, 0): 1, (1, 2, 1): 2, (1, 2, 2): 1, (2, 1, 1): 3,
+            (2, 1, 2): 1, (2, 2, 0): 1, (2, 2, 1): 1, (2, 2, 2): 1,
+        }
+        assert all(type(s) is int for key in counts.counts for s in key)
 
 
 class TestAdapter:

@@ -510,6 +510,26 @@ class TestPinnedNetwork:
             "c32176ae02ec5ee94c807b60bbd64354afc60ca70172ff6d45a8849688b20cac"
         )
 
+    def test_discrete_digest(self):
+        # Two target-past columns and three source lags: the plug-in CMIs
+        # condition on up to four columns.
+        spec = GroundTruthSpec(
+            n_processes=2,
+            n_samples=1000,
+            topology=(Coupling(0, 1, 1, 0.4),),
+            generator="logistic_map_network",
+            binarize=True,
+            seed=36,
+        )
+        settings = InferenceSettings(
+            estimator="discrete", seed=37, max_lag_sources=3, max_lag_target=2
+        )
+        net = infer_network(generate_dataset(spec), settings)
+        assert len(net.targets[1].selected_sources) == 3
+        assert self._digest(net) == (
+            "c60b7f51522a56923a86f4aceac6fd3e3a19a55e97e8760c228d8ec27a747c8c"
+        )
+
     def test_ais(self):
         topology = (Coupling(0, 0, 1, 0.4), Coupling(0, 0, 3, 0.4))
         spec = GroundTruthSpec(n_processes=1, n_samples=300, topology=topology, seed=31)

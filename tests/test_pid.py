@@ -10,9 +10,11 @@ from infonet import (
     DataError,
     JointDistribution3,
     PidAtoms,
+    StateSpaceTooLargeError,
     pid_from_data,
     pid_williams_beer,
 )
+from infonet.estimators.discrete import DEFAULT_STATE_CAP
 
 
 def oracle_atoms(probs):
@@ -149,6 +151,19 @@ class TestProperties:
             mi2 = o.redundancy + o.unique_2
             assert atoms.redundancy <= min(mi1, mi2) + 1e-12
 
+    def test_dominated_source_has_exactly_zero_unique(self):
+        # T copies S2, so S2's specific information -log2 p(t) bounds S1's at
+        # every target state: redundancy is S1's whole MI and nothing is left.
+        rng = np.random.default_rng(95)
+        for _ in range(20):
+            a1, a2 = rng.integers(2, 4, size=2)
+            p12 = rng.uniform(size=(a1, a2))
+            probs = np.zeros((a1, a2, a2))
+            probs[:, np.arange(a2), np.arange(a2)] = p12 / p12.sum()
+            assert pid_williams_beer(JointDistribution3(probs)).unique_1 == 0.0
+            swapped = JointDistribution3(np.transpose(probs, (1, 0, 2)))
+            assert pid_williams_beer(swapped).unique_2 == 0.0
+
     def test_invalid_distribution(self):
         with pytest.raises(DataError):
             JointDistribution3(np.full((2, 2, 2), 0.2))
@@ -184,3 +199,24 @@ class TestFromData:
         assert atoms.unique_1 == pytest.approx(1.0, abs=1e-2)
         assert atoms.unique_2 == pytest.approx(0.0, abs=1e-12)
         assert atoms.synergy == pytest.approx(0.0, abs=1e-9)
+
+    def test_negative_symbol_rejected(self):
+        s = np.array([0, 1, 0, 1])
+        with pytest.raises(DataError, match="outside"):
+            pid_from_data(np.array([0, 1, -1, 1]), s, s)
+
+    def test_symbol_at_alphabet_size_rejected(self):
+        s = np.array([0, 1, 0, 1])
+        with pytest.raises(DataError, match="outside"):
+            pid_from_data(np.array([0, 2, 0, 1]), s, s, alphabet_sizes=(2, 3, 2))
+
+    def test_two_alphabet_sizes_rejected(self):
+        s = np.array([0, 1, 0, 1])
+        with pytest.raises(DataError, match="three alphabet sizes"):
+            pid_from_data(s, s, s, alphabet_sizes=(2, 2))
+
+    def test_state_cap_checked_before_counting(self):
+        s = np.array([0, 1, 0, 1])
+        side = math.isqrt(DEFAULT_STATE_CAP) + 1
+        with pytest.raises(StateSpaceTooLargeError):
+            pid_from_data(s, s, s, alphabet_sizes=(side, side, 2))
