@@ -216,8 +216,10 @@ def _cmd_pid(args) -> int:
     raw = load_csv(input_path)
     if raw.n_processes != 3:
         raise ConfigError(f"'pid' input must have exactly 3 columns, got {raw.n_processes}")
-    # Without given sizes, each column's largest symbol sets its alphabet.
-    atoms = pid_from_data(*raw.values[:, :, 0], alphabet_sizes or None)
+    # PID is a static decomposition over observations, so the rows of every
+    # replication count. Without given sizes, each column's largest symbol
+    # sets its alphabet.
+    atoms = pid_from_data(*raw.values.reshape(3, -1), alphabet_sizes or None)
     payload = {
         "redundancy": atoms.redundancy,
         "unique_1": atoms.unique_1,

@@ -28,6 +28,9 @@ group form gives each member its own (y, z) block, which is what the
 replication exchange of a group comparison needs; a single value is a stack
 of one. Second moments suffice because Gaussian transfer entropy is Granger
 causality (Barnett, Barrett & Seth 2009).
+
+Values need only numpy. Local values also take one triangular solve per
+block, and scipy, which provides it, is imported on the first such call.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..errors import DataError, EstimatorError, InsufficientSamplesError, SingularCovarianceError
 from .base import CIRCULAR_SHIFT, Estimator, InfoValue, SurrogateBatch, as_columns, as_xyz, as_yz
@@ -178,6 +180,8 @@ def _quadratic_forms(factor: np.ndarray, centered: np.ndarray) -> np.ndarray:
     """Per-row u' Sigma^{-1} u via the Cholesky factor."""
     if centered.shape[1] == 0:
         return np.zeros(centered.shape[0])
+    from scipy.linalg import solve_triangular
+
     half = solve_triangular(factor, centered.T, lower=True)
     return np.einsum("dn,dn->n", half, half)
 

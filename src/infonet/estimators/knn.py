@@ -22,6 +22,9 @@ once and per member only the (x) one, and takes radii and counts from the
 matrices (brute-force search at small n, as in Wollstadt et al. 2014). Its
 values are those of :func:`knn_cmi` bit for bit; above the bound it calls
 :func:`knn_cmi` per member.
+
+scipy (``digamma`` here, ``cdist`` and ``cKDTree`` in :mod:`infonet.neighbors`)
+is imported on the first estimate, not with the module.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from ..errors import DuplicatePointsError, EstimatorError
 from ..neighbors import (
@@ -81,6 +83,8 @@ def _check_radii(radii: np.ndarray) -> None:
 
 def _local_cmi(k: int, n_xz, n_yz, n_z) -> np.ndarray:
     """Per-point CMI terms in bits from the (x,z), (y,z) and (z) neighbor counts."""
+    from scipy.special import digamma
+
     terms = digamma(k) - digamma(n_xz + 1.0) - digamma(n_yz + 1.0)
     return (terms + digamma(n_z + 1.0)) / _LN2
 

@@ -5,6 +5,11 @@ innovations (stability-checked through the companion matrix) and a network of
 logistic maps at full chaos with linear coupling, optionally binarized for
 discrete analyses. Both discard a burn-in prefix and write their topology
 alongside the data so inferred networks can be scored automatically.
+
+Each replication's time loop steps on Python float lists, one list of process
+values per time step, because indexing numpy scalars costs several times more
+per step. Every step is a fixed sequence of IEEE double operations, so a spec
+gives the same data bit for bit; the test suite pins their digests.
 """
 
 from __future__ import annotations
@@ -99,34 +104,33 @@ def companion_spectral_radius(spec: GroundTruthSpec) -> float:
 def _generate_ar_replication(spec: GroundTruthSpec, rng: np.random.Generator) -> np.ndarray:
     max_lag = max((c.lag for c in spec.topology), default=1)
     total = spec.n_samples + spec.burn_in + max_lag
-    x = np.zeros((spec.n_processes, total))
     innovations = rng.normal(scale=spec.noise_scale, size=(spec.n_processes, total))
-    x[:, :max_lag] = innovations[:, :max_lag]
+    # One list of process values per time step; each step adds its couplings
+    # to its own innovations in place.
+    x = innovations.T.tolist()
     couplings = [(c.target, c.source, c.lag, c.coefficient) for c in spec.topology]
     for t in range(max_lag, total):
-        step = innovations[:, t].copy()
+        step = x[t]
         for target, source, lag, coeff in couplings:
-            step[target] += coeff * x[source, t - lag]
-        x[:, t] = step
-    return x[:, total - spec.n_samples :]
+            step[target] += coeff * x[t - lag][source]
+    return np.array(x[total - spec.n_samples :]).T
 
 
 def _generate_logistic_replication(spec: GroundTruthSpec, rng: np.random.Generator) -> np.ndarray:
     max_lag = max((c.lag for c in spec.topology), default=1)
     total = spec.n_samples + spec.burn_in + max_lag
-    x = np.empty((spec.n_processes, total))
-    x[:, :max_lag] = rng.uniform(0.05, 0.95, size=(spec.n_processes, max_lag))
-    self_weight = np.ones(spec.n_processes)
+    x = rng.uniform(0.05, 0.95, size=(spec.n_processes, max_lag)).T.tolist()
+    self_weight = [1.0] * spec.n_processes
     for c in spec.topology:
         self_weight[c.target] -= c.coefficient
     couplings = [(c.target, c.source, c.lag, c.coefficient) for c in spec.topology]
     for t in range(max_lag, total):
-        mixed = self_weight * x[:, t - 1]
+        mixed = [w * v for w, v in zip(self_weight, x[t - 1])]
         for target, source, lag, coeff in couplings:
-            mixed[target] += coeff * x[source, t - lag]
-        mixed = np.clip(mixed, 1e-12, 1.0 - 1e-12)
-        x[:, t] = 4.0 * mixed * (1.0 - mixed)
-    return x[:, total - spec.n_samples :]
+            mixed[target] += coeff * x[t - lag][source]
+        clipped = [min(max(m, 1e-12), 1.0 - 1e-12) for m in mixed]
+        x.append([4.0 * m * (1.0 - m) for m in clipped])
+    return np.array(x[total - spec.n_samples :]).T
 
 
 def generate_dataset(spec: GroundTruthSpec) -> Dataset:

@@ -21,6 +21,9 @@ linear. k-th-neighbor distances use a ``scipy.spatial.cKDTree`` that is built
 on first use, so an index that only counts never builds one. Results are
 exact; the test suite checks them against a brute-force scan, ties included.
 
+scipy is imported where it is called, not with this module: a program that
+never takes a k-th distance or a count on d >= 2 points never loads it.
+
 For callers that query one small point set many times with different
 radii, :func:`chebyshev_matrix`, :func:`dense_kth_distance` and
 :func:`dense_range_count` give the same distances, k-th distances and
@@ -32,8 +35,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import DataError, EstimatorError
 
@@ -68,7 +69,10 @@ class NeighborIndex:
         return np.ascontiguousarray(self._sorted[:, 0])
 
     @cached_property
-    def _tree(self) -> cKDTree:
+    def _tree(self):
+        """A ``scipy.spatial.cKDTree`` over the points."""
+        from scipy.spatial import cKDTree
+
         return cKDTree(self.points)
 
     def _queries(self, query) -> np.ndarray:
@@ -180,6 +184,8 @@ class NeighborIndex:
 
     def _count_block(self, q: np.ndarray, r: np.ndarray, a: int, b: int) -> np.ndarray:
         """Counts of one block of queries against the stored points a..b-1 in key order."""
+        from scipy.spatial.distance import cdist
+
         counts = np.zeros(q.shape[0], dtype=np.int64)
         # A single row may hold a band wider than the budget: split it.
         step = max(_BLOCK_CELLS // q.shape[0], 1)
@@ -196,6 +202,8 @@ def chebyshev_matrix(points: np.ndarray, out: np.ndarray | None = None) -> np.nd
     queries compare, and the diagonal is exactly 0. Written into ``out``
     when given.
     """
+    from scipy.spatial.distance import cdist
+
     return cdist(points, points, "chebyshev", out=out)
 
 

@@ -125,6 +125,8 @@ def pid_from_data(s1, s2, t, alphabet_sizes: tuple[int, int, int] | None = None)
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise DataError("s1, s2 and t must have equal length")
+    if n == 0:
+        raise DataError("no observations: s1, s2 and t are empty")
     if alphabet_sizes is None:
         alphabet_sizes = [c.max() + 1 for c in cols]
     sizes = tuple(int(a) for a in alphabet_sizes)

@@ -182,6 +182,25 @@ class TestPid:
         assert atoms["synergy"] == pytest.approx(1.0, abs=1e-12)
         assert atoms["unique_1"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_every_replication_is_counted(self, tmp_path, capsys):
+        # An XOR replication and an AND replication: PID counts the rows of
+        # both, so the file gives the same atoms with and without its rep column.
+        rows = ["0,0,0", "0,1,1", "1,0,1", "1,1,0", "0,0,0", "0,1,0", "1,0,0", "1,1,1"]
+        pooled = tmp_path / "pooled.csv"
+        pooled.write_text("\n".join(["s1,s2,target", *rows]) + "\n")
+        split = tmp_path / "split.csv"
+        split.write_text(
+            "\n".join(["rep,s1,s2,target", *(f"{i // 4},{row}" for i, row in enumerate(rows))])
+            + "\n"
+        )
+        outputs = []
+        for data in (pooled, split):
+            assert run_cli(["pid", "--input", str(data)]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[1]["redundancy"] == pytest.approx(0.0488, abs=1e-4)
+        assert outputs[1]["synergy"] == pytest.approx(0.1556, abs=1e-4)
+
     def test_symbol_outside_given_alphabet_exit_3(self, tmp_path, capsys):
         # s1 holds a 2, but its given alphabet is binary.
         data = tmp_path / "pid.csv"

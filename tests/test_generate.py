@@ -1,5 +1,7 @@
 """Ground-truth generators: stability, coupling signatures, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,62 @@ class TestGroundTruth:
         )
         links = ground_truth_links(spec)
         assert links == [{"source": 0, "target": 1, "lag": 3, "coefficient": 0.5}]
+
+
+class TestPinnedData:
+    """Exact generated values, pinned by the sha256 of ``Dataset.values``.
+
+    A change to a generator's loop that claims identical data must keep
+    every pin; only a deliberate change of the random streams or of the
+    arithmetic moves them.
+    """
+
+    EIGHT = tuple(
+        Coupling(s, t, lag, 0.4)
+        for s, t, lag in (
+            (0, 4, 1), (1, 4, 2), (1, 5, 3), (2, 5, 1), (2, 6, 2), (3, 6, 3), (3, 7, 1), (0, 7, 2)
+        )
+    )
+    SPECS = {
+        "ar": dict(n_processes=8, n_samples=1500, topology=EIGHT, seed=41),
+        "ar_replications": dict(
+            n_processes=3,
+            n_samples=100,
+            n_replications=24,
+            topology=(Coupling(0, 0, 1, 0.5), Coupling(1, 0, 1, 0.4), Coupling(1, 2, 2, 0.4)),
+            seed=42,
+        ),
+        "logistic": dict(
+            n_processes=3,
+            n_samples=800,
+            topology=(Coupling(0, 1, 1, 0.3), Coupling(1, 2, 2, 0.25)),
+            generator="logistic_map_network",
+            n_replications=2,
+            seed=43,
+        ),
+        "logistic_binarized": dict(
+            n_processes=3,
+            n_samples=800,
+            topology=(Coupling(0, 1, 1, 0.3), Coupling(1, 2, 2, 0.25)),
+            generator="logistic_map_network",
+            binarize=True,
+            seed=44,
+        ),
+        "empty": dict(n_processes=2, n_samples=300, n_replications=3, seed=45),
+    }
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("ar", "aaec5d242867cb4aca5007b5af2893ecc3fac5cce39ce5eb2ebecae0029742ee"),
+            ("ar_replications", "37b9118056b1f9cc644761662ac1feef46e5ce8b23d0a7756fa5230b45457739"),
+            ("logistic", "7e3ab1188778e9e9dbb7fa80a46dd1eaac0e53d08016f4a1fb7a5cda141fb506"),
+            ("logistic_binarized", "ff828be5d550154e9f42f322dd7bf597dbc9292f1edf0c2807c2309bc5b740f4"),
+            ("empty", "55e2c296c1733351ce84d4510339f6a93a96341426dd0f6a24e63a0490c5229c"),
+        ],
+    )
+    def test_values_digest(self, name, digest):
+        spec = GroundTruthSpec(**self.SPECS[name])
+        values = generate_dataset(spec).values
+        assert values.shape == (spec.n_processes, spec.n_samples, spec.n_replications)
+        assert hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest() == digest

@@ -200,6 +200,11 @@ class TestFromData:
         assert atoms.unique_2 == pytest.approx(0.0, abs=1e-12)
         assert atoms.synergy == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("alphabet_sizes", [None, (2, 2, 2)])
+    def test_empty_columns_rejected(self, alphabet_sizes):
+        with pytest.raises(DataError, match="no observations"):
+            pid_from_data([], [], [], alphabet_sizes)
+
     def test_negative_symbol_rejected(self):
         s = np.array([0, 1, 0, 1])
         with pytest.raises(DataError, match="outside"):
