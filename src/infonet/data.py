@@ -110,26 +110,30 @@ def normalize(dataset: Dataset) -> Dataset:
     """Z-score every (process, replication) series; idempotent.
 
     Constant series are mapped to zeros and recorded in ``warnings`` rather
-    than rejected. Raises on discrete data.
+    than rejected. A series is constant when all its values are equal, not
+    only when its deviation vanishes: the rounded mean of n copies of c need
+    not equal c, which leaves a deviation of order eps * |c|. Raises on
+    discrete data.
     """
     if dataset.kind != KIND_CONTINUOUS:
         raise DataError("normalize applies to continuous data only")
-    values = np.array(dataset.values, dtype=np.float64)
+    # (process, replication, sample): each series is one contiguous row, and
+    # its mean and deviation along that row equal those of the series alone.
+    series = np.ascontiguousarray(dataset.values.transpose(0, 2, 1))
+    mean = series.mean(axis=2, keepdims=True)
+    if dataset.n_samples > 1:
+        sd = series.std(axis=2, ddof=1, keepdims=True)
+    else:
+        sd = np.zeros_like(mean)
+    constant = (series == series[:, :, :1]).all(axis=2, keepdims=True) | (sd < 1e-300)
+    scored = np.divide(series - mean, sd, out=np.zeros_like(series), where=~constant)
     warnings = list(dataset.warnings)
-    for p in range(dataset.n_processes):
-        for r in range(dataset.n_replications):
-            series = values[p, :, r]
-            mean = series.mean()
-            sd = series.std(ddof=1) if series.size > 1 else 0.0
-            if sd < 1e-300:
-                values[p, :, r] = 0.0
-                msg = f"constant series: process {p}, replication {r}"
-                if msg not in warnings:
-                    warnings.append(msg)
-            else:
-                values[p, :, r] = (series - mean) / sd
+    for p, r in np.argwhere(constant[:, :, 0]):
+        msg = f"constant series: process {p}, replication {r}"
+        if msg not in warnings:
+            warnings.append(msg)
     return Dataset(
-        values=values,
+        values=scored.transpose(0, 2, 1),
         kind=dataset.kind,
         alphabet_size=dataset.alphabet_size,
         normalized=True,

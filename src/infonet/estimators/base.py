@@ -140,6 +140,25 @@ class SurrogateBatch:
         return self.columns[rows, first : first + self.width]
 
 
+def members(xs):
+    """(index, member) for every member of a sequence of x arguments.
+
+    Any other sequence is read in order. A :class:`SurrogateBatch` is read
+    draw by draw: each draw's rows are gathered once, for all candidates'
+    columns, and every candidate's member is sliced from them, where
+    indexing would gather them again for each candidate.
+    """
+    if not isinstance(xs, SurrogateBatch):
+        yield from ((i, xs[i]) for i in range(len(xs)))
+        return
+    for draw in range(xs.n_draws):
+        rows = gather_indices(xs.draws[draw : draw + 1], xs.blocks, xs.method)[0]
+        gathered = xs.columns[rows]
+        for candidate in range(xs.n_candidates):
+            first = candidate * xs.width
+            yield candidate * xs.n_draws + draw, gathered[:, first : first + xs.width]
+
+
 def _checked_draws(draws, blocks, method: str) -> np.ndarray:
     """``draws`` as an array if each draw permutes rows within blocks; else ``StatsError``.
 
@@ -203,11 +222,12 @@ class Estimator:
 
         ``xs`` is a sequence (``len`` and integer indexing) of x arguments
         of one shape, such as a :class:`SurrogateBatch`; returns one value
-        per member, in order.
+        per member, in order. Members are read through :func:`members`, so
+        each draw of a batch is gathered once.
         """
         out = np.empty(len(xs), dtype=np.float64)
-        for i in range(len(xs)):
-            out[i] = self.cmi_value(xs[i], y, z)
+        for i, x in members(xs):
+            out[i] = self.cmi_value(x, y, z)
         return out
 
     def cmi_surrogate_batch(self, x_batch: SurrogateBatch, y, z=None) -> np.ndarray:

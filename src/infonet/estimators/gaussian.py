@@ -2,35 +2,52 @@
 
 All values are in bits. Covariances use centered data and 1/(n-1); there is
 no ridge repair, because silently regularizing would distort greedy
-comparisons. Determinants come from Cholesky factors, which double as the
-singularity check: a block is singular when its factorization fails or when
-one of its columns keeps less than ``_PIVOT_SHARE`` of its variance after
-regression on the columns before it.
+comparisons. Second moments suffice because Gaussian transfer entropy is
+Granger causality (Barnett, Barrett & Seth 2009): CMI(x; y | z) is half the
+log-ratio of x's residual covariance given z to its residual covariance
+given (y, z).
+
+Every entry point reduces to one kernel in that regression form. Each member
+of a stack has its own x moments and its cross-covariance ``s_fx`` with the
+fixed block f = (z, y), in that order. The f covariance is factorized once
+per distinct block, L L' = S_ff: once for a block shared by the whole stack,
+in one stacked pass for per-member blocks. One product with the inverted
+factor gives every member's rows W = L^-1 s_fx, and the residual blocks are
+Schur complements, R_xz = S_xx - W_z'W_z and R_xyz = R_xz - W_y'W_y. The
+value is half the log-determinant ratio of the two. For a one-column x that
+is log2(R_xz / R_xyz) with no factorization per member, and since R_xyz is
+R_xz less a square it cannot be negative; a wider x factorizes only its
+dx x dx residual blocks. This replaced two joint-covariance factorizations
+per member, one LAPACK call per matrix: on a 2-vCPU host they took about
+half of a one-thread Gaussian network profile, and two threads factorizing
+one 7 000 x 6 x 6 stack each ran no faster than one.
+
+Factorizations run column by column over a whole stack at once, in numpy,
+so a singular member never raises inside them. Pivot j is the variance that
+column j keeps after regression on the columns before it, and a column is
+degenerate when it keeps no more than ``_PIVOT_SHARE`` of its own variance.
 
 One rule covers degenerate input, for single values and batches alike. A
 NaN or infinite value raises ``InvalidValueError`` before any covariance is
-formed (see :func:`~infonet.estimators.base.as_xyz`); it would otherwise
-give a NaN factor, count as singular and score 0. For singular blocks: a
-singular conditioning block (z) raises ``SingularCovarianceError``; a
-singular (x, z) or (y, z) block means that side is a linear function of z,
-so the value is exactly 0; a singular full joint with healthy sides means x
-and y are collinear given z and raises ``SingularCovarianceError``. A
-constant column is the common case of the second kind and gets 0 bits.
+formed (see :func:`~infonet.estimators.base.as_xyz`). A degenerate z column
+(a leading pivot of f) raises ``SingularCovarianceError``. A degenerate y
+column (y a linear function of z) or x column (given z and the x columns
+before it) means that side carries nothing beyond z, so the value is exactly
+0; a constant column is the common case. A degenerate column of R_xyz with
+both sides healthy means x and y are collinear given z and raises
+``SingularCovarianceError``.
 
-Every entry point reduces to a stack of joint covariances of (x, y, z) and
-shares one kernel: the batched form evaluates one conditional mutual
-information for a stack of replacement first-argument columns; the surrogate
-form does the same for the draws of a permutation test, which share each
-candidate's moments and differ only in their cross-covariance with (y, z);
-it computes those without gathering rows, for every candidate of a max test
-in one call, so the test centers and factorizes its (y, z) block once; the
-group form gives each member its own (y, z) block, which is what the
-replication exchange of a group comparison needs; a single value is a stack
-of one. Second moments suffice because Gaussian transfer entropy is Granger
-causality (Barnett, Barrett & Seth 2009).
+The batched form evaluates one conditional mutual information for a stack
+of replacement first-argument columns; the surrogate form does the same for
+the draws of a permutation test, which share each candidate's moments and
+differ only in their cross-covariance with f; it computes those without
+gathering rows, for every candidate of a max test in one call, so the test
+centers and factorizes its f block once; the group form gives each member
+its own f block, which is what the replication exchange of a group
+comparison needs; a single value is a stack of one.
 
-Values need only numpy. Local values also take one triangular solve per
-block, and scipy, which provides it, is imported on the first such call.
+Local values come from the same regression residuals e_z and e_f of x given
+z and given f, and need only numpy, so Gaussian analyses never load scipy.
 """
 
 from __future__ import annotations
@@ -50,65 +67,37 @@ _NEGATIVE_SLACK = -1e-9
 _PIVOT_SHARE = 1e-10
 # See _column_means; far above the rounding error of any mean.
 _MEAN_ROUNDING = 1e-9
-# Lags (block length x candidate columns x (y, z) columns) of one chunk of
+# Lags (block length x candidate columns x (z, y) columns) of one chunk of
 # _shifted_cross, 8 MiB of float64; the largest call of the gauss_net
 # benchmark workload reaches 148 005, so ordinary pools take one chunk.
 _CROSS_CELLS = 1 << 20
 
 
-def _factorize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cholesky factors, log-determinants and singular flags of an (m, d, d) stack.
+def _cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors and pivots of an (m, d, d) stack, one column at a time.
 
-    A member whose factorization fails has a NaN factor; see :func:`_cholesky`.
+    Each step serves every member at once. Pivot j is entry (j, j) less the
+    squares of row j's earlier factor entries. A member with a pivot that is
+    not positive gets NaN or infinite factor entries from that column on,
+    never an exception; callers judge each member by its pivots.
     """
-    if stack.shape[1] == 0:
-        return stack, np.zeros(len(stack)), np.zeros(len(stack), dtype=bool)
-    factors = _cholesky(stack)
-    diags = factors.diagonal(0, 1, 2)
-    # Written so that a NaN factor counts as singular.
-    singular = ~(diags * diags > _PIVOT_SHARE * stack.diagonal(0, 1, 2)).all(axis=1)
-    return factors, 2.0 * np.log(diags).sum(axis=1), singular
+    m, d, _ = stack.shape
+    factor = np.zeros((m, d, d))
+    pivots = np.empty((m, d))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(d):
+            row = factor[:, j, :j]
+            pivots[:, j] = stack[:, j, j] - np.einsum("mk,mk->m", row, row)
+            root = np.sqrt(pivots[:, j])
+            factor[:, j, j] = root
+            below = stack[:, j + 1 :, j] - np.einsum("mik,mk->mi", factor[:, j + 1 :, :j], row)
+            factor[:, j + 1 :, j] = below / root[:, np.newaxis]
+    return factor, pivots
 
 
-def _cholesky(stack: np.ndarray) -> np.ndarray:
-    """Cholesky factors of an (m, d, d) stack, NaN for each member that fails.
-
-    Each pivot is a diagonal entry minus a sum of squares, so a member with a
-    diagonal entry that is not positive (a constant column) fails and is not
-    tried. The rest are factorized in one call. Only when that call fails are
-    its two halves retried, so that one singular member neither hides the
-    others nor sends a whole max-test stack member by member. When both
-    halves fail as well, failures are dense and the members are tried one at
-    a time, at one call each. Each member's factor is the one it gets alone.
-    """
-    tried = (stack.diagonal(0, 1, 2) > 0).all(axis=1)
-    if not tried.all():
-        factors = np.full_like(stack, np.nan)
-        factors[tried] = _cholesky(stack[tried])
-        return factors
-    factors = _try_cholesky(stack)
-    return _failed_cholesky(stack) if factors is None else factors
-
-
-def _try_cholesky(stack: np.ndarray) -> np.ndarray | None:
-    try:
-        return np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _failed_cholesky(stack: np.ndarray) -> np.ndarray:
-    """Factors of a stack whose one-call factorization failed; see :func:`_cholesky`."""
-    if len(stack) == 1:
-        return np.full_like(stack, np.nan)
-    parts = np.split(stack, [len(stack) // 2])
-    factors = [_try_cholesky(part) for part in parts]
-    if factors[0] is None and factors[1] is None:
-        parts = np.split(stack, len(stack))
-        factors = [_try_cholesky(part) for part in parts]
-    return np.concatenate(
-        [_failed_cholesky(part) if f is None else f for f, part in zip(factors, parts)]
-    )
+def _kept(pivots: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """Whether each column keeps more than ``_PIVOT_SHARE`` of its variance; NaN does not."""
+    return pivots > _PIVOT_SHARE * variances
 
 
 def _column_means(data: np.ndarray) -> np.ndarray:
@@ -130,60 +119,54 @@ def _column_means(data: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _cmi_stack(s_xx: np.ndarray, s_xf: np.ndarray, s_ff: np.ndarray, dy: int):
-    """CMI(x_i; y_i | z_i) in bits for each member of a stack of joint covariances.
+def _cmi_stack(s_xx: np.ndarray, s_xf: np.ndarray, s_ff: np.ndarray, dz: int):
+    """CMI(x_i; y_i | z_i) in bits for each member of a stack of covariances.
 
-    ``s_xf`` is the (m, dx, dy+dz) stack of cross-covariances of x with
-    (y, z). ``s_xx`` and the (y, z) covariance ``s_ff`` are each either a
-    matching 3-D stack, one block per member, or one 2-D block shared by all
-    members; a shared (y, z) block is factorized once. Applies the module's
-    degeneracy rule to each member. Returns the values, a mask of the members
-    that are 0 by that rule, and the (factors, log-determinants) of the
-    (x,z), (y,z), z and full blocks, or None for the blocks when y is a
-    linear function of z in every member.
+    ``s_xf`` is the (m, dx, dz+dy) stack of cross-covariances of x with
+    f = (z, y), in that column order. ``s_xx`` and the f covariance ``s_ff``
+    are each either a matching 3-D stack, one block per member, or one 2-D
+    block shared by all members; a shared f block is factorized once.
+    Applies the module's degeneracy rule to each member. Returns the values,
+    a mask of the members that are 0 by that rule, and the inverted f
+    factors, the rows W and the residual blocks R_xz and R_xyz, or None for
+    these when y is a linear function of z in every member.
     """
     m, dx, df = s_xf.shape
-    d = dx + df
-    joint = np.empty((m, d, d))
-    joint[:, :dx, :dx] = s_xx
-    joint[:, :dx, dx:] = s_xf
-    joint[:, dx:, :dx] = np.transpose(s_xf, (0, 2, 1))
-    joint[:, dx:, dx:] = s_ff
     s_ff = s_ff.reshape(-1, df, df)  # a shared block becomes a stack of one
-    f_z, ld_z, singular_z = _factorize(s_ff[:, dy:, dy:])
-    if singular_z.any():
-        raise SingularCovarianceError(
-            f"conditioning covariance of dimension {df - dy} is singular"
-        )
-    f_yz, ld_yz, singular_yz = _factorize(s_ff)
-    if singular_yz.all():
+    factor, pivots = _cholesky(s_ff)
+    kept = _kept(pivots, s_ff.diagonal(0, 1, 2))
+    if not kept[:, :dz].all():
+        raise SingularCovarianceError(f"conditioning covariance of dimension {dz} is singular")
+    zero_y = ~kept[:, dz:].all(axis=1)
+    if zero_y.all():
         return np.zeros(m), np.ones(m, dtype=bool), None
-    ixz = np.array([*range(dx), *range(dx + dy, d)])
-    f_xz, ld_xz, singular_xz = _factorize(joint[:, ixz[:, np.newaxis], ixz])
-    zero = singular_xz | singular_yz
-    f_xyz, ld_xyz, singular = _factorize(joint)
-    if (singular & ~zero).any():
+    factor[zero_y] = np.eye(df)  # those members are 0; any invertible factor serves
+    inverse = np.linalg.inv(factor)
+    if len(inverse) == 1:
+        w = (s_xf.reshape(-1, df) @ inverse[0].T).reshape(m, dx, df)
+    else:
+        w = np.einsum("mak,mjk->maj", s_xf, inverse)
+    r_xz = s_xx - np.einsum("maj,mbj->mab", w[..., :dz], w[..., :dz])
+    r_xyz = r_xz - np.einsum("maj,mbj->mab", w[..., dz:], w[..., dz:])
+    if dx == 1:  # a 1 x 1 block is its own pivot
+        p_xz, p_xyz = r_xz[:, 0], r_xyz[:, 0]
+    else:
+        p_xz, p_xyz = _cholesky(r_xz)[1], _cholesky(r_xyz)[1]
+    variances = s_xx.diagonal(0, -2, -1)
+    zero = zero_y | ~_kept(p_xz, variances).all(axis=1)
+    if (~_kept(p_xyz, variances).all(axis=1) & ~zero).any():
         raise SingularCovarianceError(
-            "joint covariance is singular while (x, z) and (y, z) are not: "
+            "x keeps no variance given (y, z) while x and y each keep some given z: "
             "x and y are collinear given z"
         )
-    value = 0.5 * (ld_xz + ld_yz - ld_z - ld_xyz) / _LN2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        value = 0.5 * np.log(p_xz / p_xyz).sum(axis=1) / _LN2
     value[zero] = 0.0
     if value.min() < _NEGATIVE_SLACK:
         raise EstimatorError(
             f"information value {value.min()} below numerical slack; data ill-conditioned"
         )
-    return value, zero, ((f_xz, ld_xz), (f_yz, ld_yz), (f_z, ld_z), (f_xyz, ld_xyz))
-
-
-def _quadratic_forms(factor: np.ndarray, centered: np.ndarray) -> np.ndarray:
-    """Per-row u' Sigma^{-1} u via the Cholesky factor."""
-    if centered.shape[1] == 0:
-        return np.zeros(centered.shape[0])
-    from scipy.linalg import solve_triangular
-
-    half = solve_triangular(factor, centered.T, lower=True)
-    return np.einsum("dn,dn->n", half, half)
+    return value, zero, (inverse, w, r_xz, r_xyz)
 
 
 def _check_samples(n: int, d: int) -> None:
@@ -191,14 +174,21 @@ def _check_samples(n: int, d: int) -> None:
         raise InsufficientSamplesError(f"need at least {d + 2} observations, got {n}")
 
 
+def _quadratic_forms(residuals: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per-row e' R^-1 e of (n, dx) residuals."""
+    return np.einsum("na,an->n", residuals, np.linalg.solve(r, residuals.T))
+
+
 def gaussian_cmi(x, y, z=None, with_local: bool = True) -> InfoValue:
     """Conditional mutual information under a joint-Gaussian model.
 
-    CMI = 1/2 log2( det S_xz det S_yz / (det S_z det S_xyz) ); with an empty
-    conditioning set this reduces exactly to the mutual information. Local
-    values are the per-observation Gaussian log-density ratios, whose mean
-    recovers the determinant form identically; a value that is 0 by the
-    degeneracy rule (see the module docstring) has all-zero locals.
+    CMI = 1/2 log2( det R_xz / det R_xyz ), x's residual covariances given z
+    and given (y, z); with an empty conditioning set this is exactly the
+    mutual information. Local values are the per-observation Gaussian
+    log-density ratios, value + (e_z' R_xz^-1 e_z - e_f' R_xyz^-1 e_f) / (2 ln 2)
+    for x's residuals e_z given z and e_f given (z, y), whose mean recovers
+    the value identically; a value that is 0 by the degeneracy rule (see the
+    module docstring) has all-zero locals.
     """
     x, y, z = as_xyz(x, y, z)
     n = x.shape[0]
@@ -206,29 +196,24 @@ def gaussian_cmi(x, y, z=None, with_local: bool = True) -> InfoValue:
     # makes the float result exactly symmetric too.
     if (y.shape[1], y.tobytes()) < (x.shape[1], x.tobytes()):
         x, y = y, x
-    dx, dy, dz = x.shape[1], y.shape[1], z.shape[1]
-    _check_samples(n, dx + dy + dz)
-    data = np.concatenate([x, y, z], axis=1)
+    dx, dz = x.shape[1], z.shape[1]
+    _check_samples(n, dx + y.shape[1] + dz)
+    data = np.concatenate([x, z, y], axis=1)
     centered = data - _column_means(data)
     cov = centered.T @ centered / (n - 1)
 
-    values, zero, blocks = _cmi_stack(
-        cov[:dx, :dx], cov[np.newaxis, :dx, dx:], cov[dx:, dx:], dy
-    )
+    values, zero, parts = _cmi_stack(cov[:dx, :dx], cov[np.newaxis, :dx, dx:], cov[dx:, dx:], dz)
     value = float(values[0])
     if not with_local:
         return InfoValue(value=value)
     if zero[0]:
         return InfoValue(value=value, local=np.zeros(n))
-    (f_xz, ld_xz), (f_yz, ld_yz), (f_z, ld_z), (f_xyz, ld_xyz) = (
-        (factors[0], logdets[0]) for factors, logdets in blocks
-    )
-    q_xz = _quadratic_forms(f_xz, centered[:, [*range(dx), *range(dx + dy, dx + dy + dz)]])
-    q_yz = _quadratic_forms(f_yz, centered[:, dx:])
-    q_z = _quadratic_forms(f_z, centered[:, dx + dy :])
-    q_xyz = _quadratic_forms(f_xyz, centered)
-    local = (ld_xz + ld_yz - ld_z - ld_xyz + q_xz + q_yz - q_z - q_xyz) / (2.0 * _LN2)
-    return InfoValue(value=value, local=local)
+    inverse, w, r_xz, r_xyz = (part[0] for part in parts)
+    whitened = centered[:, dx:] @ inverse.T
+    e_z = centered[:, :dx] - whitened[:, :dz] @ w[:, :dz].T
+    e_f = centered[:, :dx] - whitened @ w.T
+    spread = _quadratic_forms(e_z, r_xz) - _quadratic_forms(e_f, r_xyz)
+    return InfoValue(value=value, local=value + spread / (2.0 * _LN2))
 
 
 def gaussian_mi(x, y, with_local: bool = True) -> InfoValue:
@@ -246,28 +231,29 @@ def _as_batch(x_batch) -> np.ndarray:
 
 
 def _centered_fixed(y, z, n: int, dx: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The centered (y, z) columns shared by a batch, their covariance and the width of y."""
+    """The centered f = (z, y) columns shared by a batch, their covariance and the width of z."""
     y, z = as_yz(y, z, n)
     _check_samples(n, dx + y.shape[1] + z.shape[1])
-    fixed = np.concatenate([y, z], axis=1)
+    fixed = np.concatenate([z, y], axis=1)
     fixed_c = fixed - _column_means(fixed)
-    return fixed_c, fixed_c.T @ fixed_c / (n - 1), y.shape[1]
+    return fixed_c, fixed_c.T @ fixed_c / (n - 1), z.shape[1]
 
 
 def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None) -> np.ndarray:
     """CMI(x_i; y | z) for each replacement block x_i in an (m, n, dx) stack.
 
-    The (y, z) covariance is computed once; each batch member contributes
-    only its own variance and cross-covariance. Members follow the same
-    degeneracy rule as :func:`gaussian_cmi`, so a constant member gets 0.
+    The (z, y) covariance is computed and factorized once; each batch
+    member contributes only its own variance and cross-covariance. Members
+    follow the same degeneracy rule as :func:`gaussian_cmi`, so a constant
+    member gets 0.
     """
     x_batch = _as_batch(x_batch)
     m, n, dx = x_batch.shape
-    fixed_c, s_ff, dy = _centered_fixed(y, z, n, dx)
+    fixed_c, s_ff, dz = _centered_fixed(y, z, n, dx)
     xc = x_batch - _column_means(x_batch)
     s_xf = np.einsum("mnd,nf->mdf", xc, fixed_c) / (n - 1)
     s_xx = np.einsum("mnd,mne->mde", xc, xc) / (n - 1)
-    return _cmi_stack(s_xx, s_xf, s_ff, dy)[0]
+    return _cmi_stack(s_xx, s_xf, s_ff, dz)[0]
 
 
 def _shifted_cross(xc, fixed_c, blocks, rotations) -> np.ndarray:
@@ -325,17 +311,17 @@ class GaussianEstimator(Estimator):
 
         Every draw is a row permutation of the column block, so all draws of
         a candidate share its mean and covariance and differ only in their
-        cross-covariance with (y, z): circular shifts take it from one FFT
+        cross-covariance with (z, y): circular shifts take it from one FFT
         cross-correlation per replication block, replication shuffles from
         inner products of whole blocks, for every candidate's columns at
         once. One kernel call covers every member, with each candidate's
-        own covariance and the shared (y, z) block, factorized once. Values
+        own covariance and the shared (z, y) block, factorized once. Values
         match :func:`gaussian_cmi_batch` on the gathered members to rounding.
         """
         columns = x_batch.columns
         n, width = columns.shape[0], x_batch.width
         draws, candidates = x_batch.n_draws, x_batch.n_candidates
-        fixed_c, s_ff, dy = _centered_fixed(y, z, n, width)
+        fixed_c, s_ff, dz = _centered_fixed(y, z, n, width)
         xc = columns - _column_means(columns)
         if x_batch.method == CIRCULAR_SHIFT:
             s_xf = _shifted_cross(xc, fixed_c, x_batch.blocks, x_batch.draws)
@@ -349,7 +335,7 @@ class GaussianEstimator(Estimator):
             np.repeat(s_xx / (n - 1), draws, axis=0),
             s_xf.reshape(candidates * draws, width, -1) / (n - 1),
             s_ff,
-            dy,
+            dz,
         )[0]
 
     def candidates_cmi(self, columns, y, z=None) -> np.ndarray:
@@ -372,8 +358,8 @@ class GaussianEstimator(Estimator):
         centering gives it, so the degeneracy rule applies to it too.
         """
         parts = [as_xyz(*block) for block in blocks]
-        dx, dy = parts[0][0].shape[1], parts[0][1].shape[1]
-        rows = np.concatenate([np.concatenate(block, axis=1) for block in parts])
+        dx, dz = parts[0][0].shape[1], parts[0][2].shape[1]
+        rows = np.concatenate([np.concatenate([x, z, y], axis=1) for x, y, z in parts])
         centered = rows - _column_means(rows)
         d = centered.shape[1]
         starts = np.concatenate([[0], np.cumsum([len(block[0]) for block in parts])[:-1]])
@@ -403,4 +389,4 @@ class GaussianEstimator(Estimator):
             constant = low == np.where(member, high, -np.inf).max(axis=1)
             cov[constant] = 0.0
             cov.transpose(0, 2, 1)[constant] = 0.0
-        return _cmi_stack(cov[:, :dx, :dx], cov[:, :dx, dx:], cov[:, dx:, dx:], dy)[0]
+        return _cmi_stack(cov[:, :dx, :dx], cov[:, :dx, dx:], cov[:, dx:, dx:], dz)[0]

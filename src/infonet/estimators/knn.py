@@ -29,6 +29,7 @@ is imported on the first estimate, not with the module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ from ..neighbors import (
     dense_range_count,
 )
 from ..seeding import rng_for
-from .base import Estimator, InfoValue, as_columns, as_xyz
+from .base import Estimator, InfoValue, as_columns, as_xyz, members
 
 _LN2 = math.log(2.0)
 
@@ -111,14 +112,18 @@ def knn_cmi(x, y, z=None, settings: KnnSettings = KnnSettings()) -> InfoValue:
     return InfoValue(value=float(local.mean()), local=local)
 
 
-def _dense_cmis(xs, x0: np.ndarray, y: np.ndarray, z: np.ndarray, settings: KnnSettings):
+def _dense_cmis(xs, y, z, settings: KnnSettings):
     """:func:`knn_cmi` value of each member of ``xs`` from dense distance matrices.
 
     The noise of y and z, and so the (y,z) and (z) matrices, are the same
     for every member; each member adds the same x noise and builds only its
     own (x) matrix. Every distance, radius and count equals the one the
     neighbor index gives, so the values are bitwise those of ``knn_cmi``.
+    The first member read fixes the shape of all of them.
     """
+    pairs = members(xs)
+    first = next(pairs)
+    x0, y, z = as_xyz(first[1], y, z)
     n, dx = x0.shape
     noise_x, noise_y, noise_z = _noise([x0.shape, y.shape, z.shape], settings)
     y, z = y + noise_y, z + noise_z
@@ -127,10 +132,10 @@ def _dense_cmis(xs, x0: np.ndarray, y: np.ndarray, z: np.ndarray, settings: KnnS
     d_x, joint = np.empty((n, n)), np.empty((n, n))
     work = np.empty((n, n), dtype=bool)
     out = np.empty(len(xs), dtype=np.float64)
-    for i in range(len(xs)):
-        x = x0 if i == 0 else as_columns(xs[i])
+    for i, x in itertools.chain([first], pairs):
+        x = as_columns(x)
         if x.shape != (n, dx):
-            raise EstimatorError(f"member {i} has shape {x.shape}, member 0 has {(n, dx)}")
+            raise EstimatorError(f"member {i} has shape {x.shape}, member {first[0]} has {(n, dx)}")
         chebyshev_matrix(x + noise_x, out=d_x)
         radii = dense_kth_distance(np.maximum(d_x, d_yz, out=joint), settings.k)
         _check_radii(radii)
@@ -164,7 +169,6 @@ class KnnEstimator(Estimator):
     def cmis(self, xs, y, z=None) -> np.ndarray:
         if len(xs) == 0:
             return np.zeros(0)
-        x0, y, z = as_xyz(xs[0], y, z)
-        if len(x0) ** 2 > _BLOCK_CELLS:
+        if len(as_columns(y)) ** 2 > _BLOCK_CELLS:
             return super().cmis(xs, y, z)
-        return _dense_cmis(xs, x0, y, z, self.settings)
+        return _dense_cmis(xs, y, z, self.settings)

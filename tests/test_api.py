@@ -1,9 +1,8 @@
 """The public API of ``infonet`` is pinned: every added or removed name shows here.
 
 Importing the package loads numpy only: scipy is imported on first use by the
-kNN estimator and by Gaussian local values, so analyses that need neither
-never load it. Those checks run in fresh interpreters, because this one has
-already imported scipy.
+kNN estimator, so analyses that do not use it never load it. Those checks run
+in fresh interpreters, because this one has already imported scipy.
 """
 
 import json
@@ -85,10 +84,13 @@ def test_gaussian_plugin_and_cli_help_never_load_scipy():
     script = f"""
 import json, sys
 from infonet import Coupling, GroundTruthSpec, InferenceSettings, cli
-from infonet import generate_dataset, infer_network, pid_from_data
+from infonet import ais_estimate, generate_dataset, infer_network, pid_from_data
 spec = GroundTruthSpec(n_processes=3, n_samples=300, topology=(Coupling(0, 1, 1, 0.6),), seed=3)
 settings = InferenceSettings(max_lag_sources=2, max_lag_target=2)
 assert infer_network(generate_dataset(spec), settings).adjacency
+spec = GroundTruthSpec(n_processes=1, n_samples=300, topology=(Coupling(0, 0, 1, 0.6),), seed=3)
+storage = ais_estimate(generate_dataset(spec), 0, settings)
+assert storage.selected_embedding and storage.local.any()
 pid_from_data([0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0])
 try:
     cli.main(["--help"])

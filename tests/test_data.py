@@ -73,6 +73,16 @@ class TestNormalize:
         assert np.all(ds.series(0, 0) == 0.0)
         assert any("constant" in w for w in ds.warnings)
 
+    @pytest.mark.parametrize("value, n", [(0.1, 100), (3.7, 10), (1e3 / 7, 100)])
+    def test_constant_series_whose_mean_rounds_away(self, value, n):
+        # The mean of these copies is not the value, so the deviation is about
+        # eps * value instead of 0; the series is still constant.
+        series = np.full(n, value)
+        assert series.mean() != value and series.std(ddof=1) > 0.0
+        ds = normalize(_dataset_from_series(series))
+        assert np.all(ds.series(0, 0) == 0.0)
+        assert ds.warnings == ("constant series: process 0, replication 0",)
+
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         ds = _dataset_from_series(rng.normal(size=200))
@@ -94,6 +104,37 @@ class TestNormalize:
                 s = out.series(p, r)
                 assert abs(s.mean()) < 1e-9
                 assert abs(s.std(ddof=1) - 1.0) < 1e-9
+
+    @staticmethod
+    def _per_series(dataset):
+        """Values and warnings of a z-score taken one (process, replication) series at a time."""
+        values = np.array(dataset.values)
+        warnings = list(dataset.warnings)
+        for p in range(dataset.n_processes):
+            for r in range(dataset.n_replications):
+                series = values[p, :, r]
+                sd = series.std(ddof=1) if series.size > 1 else 0.0
+                if np.all(series == series[0]) or sd < 1e-300:
+                    values[p, :, r] = 0.0
+                    msg = f"constant series: process {p}, replication {r}"
+                    if msg not in warnings:
+                        warnings.append(msg)
+                else:
+                    values[p, :, r] = (series - series.mean()) / sd
+        return values, warnings
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_equal_to_a_per_series_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 300)), int(rng.integers(1, 6)))
+        values = rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(1e-3, 1e3), size=shape)
+        for p, r in rng.integers(0, [shape[0], shape[2]], size=(int(rng.integers(0, 4)), 2)):
+            values[p, :, r] = rng.normal()  # a constant series, some more than once
+        dataset = Dataset(values=values, warnings=("constant series: process 0, replication 0",))
+        out = normalize(dataset)
+        expected, warnings = self._per_series(dataset)
+        assert out.values.tobytes() == expected.tobytes()
+        assert list(out.warnings) == warnings
 
 
 class TestEmbed:

@@ -15,11 +15,12 @@ from infonet import (
     gaussian_mi,
 )
 from infonet.estimators import gaussian
-from infonet.estimators.gaussian import _factorize, gaussian_cmi_batch
+from infonet.estimators.gaussian import _cholesky, _kept, gaussian_cmi_batch
 from infonet.stats import (
     CIRCULAR_SHIFT,
     REPLICATION_SHUFFLE,
     SurrogatePolicy,
+    max_statistic_test,
     omnibus_test,
     surrogate_index_matrix,
 )
@@ -280,9 +281,9 @@ class TestConstantColumn:
 
 
 @st.composite
-def _gaussian_blocks(draw):
+def _gaussian_blocks(draw, max_dx=2):
     """(x, y, z) with random widths and correlations, well above the sample floor."""
-    dx, dy, dz = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    dx, dy, dz = draw(st.integers(1, max_dx)), draw(st.integers(1, 2)), draw(st.integers(0, 3))
     d = dx + dy + dz
     n = draw(st.integers(3 * d + 10, 120))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -292,6 +293,23 @@ def _gaussian_blocks(draw):
 
 
 _PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def _slogdet_cmi(x, y, z):
+    """CMI in bits from the four log-determinants of the sample covariance blocks."""
+    cov = np.cov(np.concatenate([x, y, z], axis=1), rowvar=False).reshape(
+        x.shape[1] + y.shape[1] + z.shape[1], -1
+    )
+    ix = list(range(x.shape[1]))
+    iy = list(range(len(ix), len(ix) + y.shape[1]))
+    iz = list(range(len(ix) + len(iy), len(cov)))
+
+    def logdet(columns):
+        sign, value = np.linalg.slogdet(cov[np.ix_(columns, columns)])
+        assert sign > 0
+        return value
+
+    return (logdet(ix + iz) + logdet(iy + iz) - logdet(iz) - logdet(ix + iy + iz)) / (2 * np.log(2))
 
 
 class TestProperties:
@@ -324,6 +342,33 @@ class TestProperties:
         batch = gaussian_cmi_batch(stack, y, z)
         singles = [gaussian_cmi(member, y, z, with_local=False).value for member in stack]
         assert np.max(np.abs(batch - singles)) <= 1e-12
+
+    @_PROPERTY_SETTINGS
+    @given(_gaussian_blocks(max_dx=3), st.integers(1, 5))
+    def test_every_entry_point_matches_log_determinants(self, blocks, draws):
+        x, y, z, rng = blocks
+        n = len(x)
+        assert abs(gaussian_cmi(x, y, z).value - _slogdet_cmi(x, y, z)) <= 1e-10
+
+        stack = np.stack([x] + [x[rng.permutation(n)] for _ in range(draws)])
+        expected = [_slogdet_cmi(member, y, z) for member in stack]
+        assert np.max(np.abs(gaussian_cmi_batch(stack, y, z) - expected)) <= 1e-10
+
+        rep_ids = np.repeat([0, 1], [n // 2, n - n // 2])
+        batch = surrogate_batch(x, rep_ids, SurrogatePolicy(seed=int(rng.integers(1000))), draws)
+        values = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
+        expected = [_slogdet_cmi(member, y, z) for member in _gathered(batch)]
+        assert np.max(np.abs(values - expected)) <= 1e-10
+
+        # Three blocks of at least d + 3 rows each; groups of one to three blocks.
+        blocks = list(zip(*(np.split(a, [n // 3, 2 * n // 3]) for a in (x, y, z))))
+        groups = [[2, 0, 1], [1], [0, 2]]
+        values = GaussianEstimator().group_cmis(blocks, groups)
+        expected = [
+            _slogdet_cmi(*(np.concatenate([blocks[i][k] for i in g]) for k in range(3)))
+            for g in groups
+        ]
+        assert np.max(np.abs(values - expected)) <= 1e-10
 
 
 @st.composite
@@ -460,8 +505,10 @@ class TestMultiCandidateBatch:
 
 
 class TestFactorize:
-    def test_halving_fallback_equals_member_by_member(self):
-        # Failures in both halves of the tried members, then in one eighth of them.
+    """Stacks are factorized column by column in numpy: a singular member never raises."""
+
+    def test_pivots_flag_failing_members(self):
+        # Failures in both halves of the stack, then in one eighth of it.
         for failing in [(10, 11, 23, 30), (2, 5)]:
             rng = np.random.default_rng(31)
             m, d = 37, 4
@@ -470,49 +517,64 @@ class TestFactorize:
             stack[[0, 9, 36], 2, :] = 0.0  # a constant column: a zero row and column
             stack[[0, 9, 36], :, 2] = 0.0
             stack[17] = -stack[17]
-            # Positive diagonals, but the second pivot is negative: only the call finds these.
+            # Positive diagonals, but the second pivot is negative.
             for i in failing:
                 stack[i, 0, 1] = stack[i, 1, 0] = 3.0 * np.sqrt(stack[i, 0, 0] * stack[i, 1, 1])
-            factors, logdets, singular = _factorize(stack)
-            for i, matrix in enumerate(stack):
-                try:
-                    expected = np.linalg.cholesky(matrix)
-                except np.linalg.LinAlgError:
-                    expected = np.full_like(matrix, np.nan)
-                assert np.array_equal(factors[i], expected, equal_nan=True)
-                single = _factorize(matrix[np.newaxis])
-                assert np.array_equal(logdets[i], single[1][0], equal_nan=True)
-                assert singular[i] == single[2][0]
+            factors, pivots = _cholesky(stack)
+            singular = ~_kept(pivots, stack.diagonal(0, 1, 2)).all(axis=1)
             assert singular.tolist() == [i in (0, 9, 17, 36, *failing) for i in range(m)]
+            for i, matrix in enumerate(stack):
+                alone = _cholesky(matrix[np.newaxis])
+                assert np.array_equal(factors[i], alone[0][0], equal_nan=True)
+                assert np.array_equal(pivots[i], alone[1][0], equal_nan=True)
+                if not singular[i]:
+                    expected = np.linalg.cholesky(matrix)
+                    assert np.allclose(factors[i], expected, rtol=1e-12, atol=0.0)
+                    assert np.allclose(pivots[i], np.diagonal(expected) ** 2, rtol=1e-12)
 
-    def test_dense_failures_take_about_one_call_per_member(self, monkeypatch):
-        # A collinear source block fails in every draw of its omnibus null.
+    @staticmethod
+    def _count_factorized(monkeypatch):
+        """Matrices handed to the column factorization; LAPACK's Cholesky must not run."""
+        counted = []
+        cholesky = gaussian._cholesky
+        monkeypatch.setattr(
+            gaussian, "_cholesky", lambda stack: counted.append(len(stack)) or cholesky(stack)
+        )
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        return counted
+
+    def test_single_column_max_test_factorizes_two_matrices(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        n, candidates, draws = 400, 6, 50
+        z = rng.normal(size=(n, 2))
+        columns = rng.normal(size=(n, candidates)) + z[:, :1]
+        y = columns[:, :1] + rng.normal(size=(n, 1))
+        counted = self._count_factorized(monkeypatch)
+        estimator = GaussianEstimator()
+        observed = estimator.candidates_cmi(columns, y, z)
+        rep_ids, policy = np.zeros(n, dtype=int), SurrogatePolicy(seed=6)
+        args = (columns, observed, y, z, rep_ids, estimator, policy, draws, 0.05)
+        result = max_statistic_test(*args)
+        assert result.significant
+        # The observed values and the surrogate null: one (z, y) block each.
+        assert counted == [1, 1]
+
+    def test_collinear_source_block_takes_no_call_per_member(self, monkeypatch):
+        # A collinear source block is 0 by the degeneracy rule in every draw of its omnibus null.
         rng = np.random.default_rng(32)
         n, draws = 1500, 200
         s = rng.normal(size=n)
         x = np.column_stack([s, 2.0 * s])
         y = 0.5 * s[:, np.newaxis] + rng.normal(size=(n, 1))
-        args = (x, y, None, np.zeros(n, dtype=int), GaussianEstimator())
+        counted = self._count_factorized(monkeypatch)
         policy = SurrogatePolicy(min_shift=2, seed=4)
-
-        def member_by_member(stack):
-            factors = np.full_like(stack, np.nan)
-            for i, matrix in enumerate(stack):
-                try:
-                    factors[i] = np.linalg.cholesky(matrix)
-                except np.linalg.LinAlgError:
-                    pass
-            return factors
-
-        calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
-        result = omnibus_test(*args, policy, draws, 0.05)
-        # One observed value, the shared (y, z) block, then two failing
-        # stacks of `draws` members at most three calls above one per member.
-        assert len(calls) <= 3 + 1 + 2 * (draws + 3)
-        monkeypatch.setattr(gaussian, "_cholesky", member_by_member)
-        assert omnibus_test(*args, policy, draws, 0.05) == result
+        rep_ids = np.zeros(n, dtype=int)
+        result = omnibus_test(x, y, None, rep_ids, GaussianEstimator(), policy, draws, 0.05)
+        assert (result.statistic, result.p_value) == (0.0, 1.0)
+        # The observed value takes the narrower y as its x, so the collinear
+        # block is f and one factorization decides it; the null factorizes
+        # f once and the stacked R_xz and R_xyz blocks once each.
+        assert counted == [1, 1, draws, draws]
 
 
 @st.composite

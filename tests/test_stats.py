@@ -20,6 +20,7 @@ from infonet import (
 from infonet import stats
 from infonet.errors import InsufficientReplicationsError, InvalidValueError, StatsError
 from infonet.estimators import DiscreteEstimator, KnnEstimator, KnnSettings
+from infonet.estimators import base
 from infonet.estimators.base import SurrogateBatch, gather_indices
 from infonet.stats import (
     CIRCULAR_SHIFT,
@@ -671,6 +672,24 @@ class TestDefaultSurrogateBatch:
             estimator.cmi_surrogate_batch(
                 SurrogateBatch(columns, np.array(draws), blocks, method), columns, None
             )
+
+    @pytest.mark.parametrize(
+        "estimator, n",
+        [(KnnEstimator(), 120), (KnnEstimator(), 300), (DiscreteEstimator(alphabet_size=2), 120)],
+        ids=["knn_dense", "knn_per_member", "default"],
+    )
+    def test_each_draw_is_gathered_once(self, monkeypatch, estimator, n):
+        rng = np.random.default_rng(7)
+        candidates, draws = 4, 5
+        columns = rng.integers(0, 2, size=(n, candidates)).astype(np.float64)
+        y = rng.integers(0, 2, size=(n, 1)).astype(np.float64)
+        batch = surrogate_batch(columns, np.zeros(n, dtype=int), _policy(seed=3), draws, width=1)
+        expected = [estimator.cmi_value(batch[i], y, None) for i in range(len(batch))]
+        calls = []
+        gather = base.gather_indices
+        monkeypatch.setattr(base, "gather_indices", lambda *a: calls.append(1) or gather(*a))
+        assert estimator.cmi_surrogate_batch(batch, y, None).tolist() == expected
+        assert len(calls) == draws
 
     def test_width_must_divide_the_block(self):
         draws = np.zeros((2, 1), dtype=np.int64)
