@@ -96,7 +96,8 @@ class SurrogateBatch:
     default one candidate of the full width), and every candidate shares the
     test's draws. Member ``i`` is candidate ``i // draws`` under draw
     ``i % draws``, so ``len`` counts candidates times draws and the members
-    of one candidate are consecutive.
+    of one candidate are consecutive. Rotation 0 is the observed alignment:
+    its gather indices are the identity.
     """
 
     columns: np.ndarray
@@ -140,17 +141,16 @@ class SurrogateBatch:
         return self.columns[rows, first : first + self.width]
 
 
-def members(xs):
-    """(index, member) for every member of a sequence of x arguments.
+def members(xs: SurrogateBatch):
+    """(index, member) for every member of a :class:`SurrogateBatch`.
 
-    Any other sequence is read in order. A :class:`SurrogateBatch` is read
-    draw by draw: each draw's rows are gathered once, for all candidates'
-    columns, and every candidate's member is sliced from them, where
-    indexing would gather them again for each candidate.
+    The batch is read draw by draw: each draw's rows are gathered once, for
+    all candidates' columns, and every candidate's member is sliced from
+    them, where indexing would gather them again for each candidate. Any
+    other argument raises ``EstimatorError``.
     """
     if not isinstance(xs, SurrogateBatch):
-        yield from ((i, xs[i]) for i in range(len(xs)))
-        return
+        raise EstimatorError(f"members come from a SurrogateBatch, not {type(xs).__name__}")
     for draw in range(xs.n_draws):
         rows = gather_indices(xs.draws[draw : draw + 1], xs.blocks, xs.method)[0]
         gathered = xs.columns[rows]
@@ -196,19 +196,18 @@ class Estimator:
 
     Concrete estimators implement ``cmi`` (full result with locals) and may
     override ``cmi_value`` (scalar fast path). ``cmis`` evaluates the same
-    conditional mutual information for many replacement first arguments of
-    one width against one fixed (y, z), and ``group_cmis`` for many unions
-    of replication blocks; the defaults loop over ``cmi_value``, so they
-    equal the scalar path exactly.
+    conditional mutual information for every member of a
+    :class:`SurrogateBatch` against one fixed (y, z), and ``group_cmis`` for
+    many unions of replication blocks; the defaults loop over ``cmi_value``,
+    so they equal the scalar path exactly.
 
-    ``candidates_cmi`` (one member per column of a candidate matrix) and
-    ``cmi_surrogate_batch`` (one per member of a :class:`SurrogateBatch`, the
-    draws of one permutation test for one or more equal-width candidates, in
-    the batch's candidate-major member order) hand their members to ``cmis``.
-    An estimator that shares the (y, z) work across members overrides
-    ``cmis`` alone, as the kNN one does at small n. An override of the two
-    adapters may use more structure: the Gaussian surrogate one never
-    gathers rows and shares the (y, z) work across every candidate.
+    ``cmi_surrogate_batch`` (the draws of one permutation test) and
+    ``candidates_cmi`` (the unshifted batch of a candidate matrix, whose one
+    draw is rotation 0) hand their batch to ``cmis``. An estimator that
+    shares the (y, z) work across members overrides ``cmis`` alone, as the
+    kNN one does at small n. An override of the two adapters may use more
+    structure: the Gaussian surrogate one never gathers rows and shares the
+    (y, z) work across every candidate.
     """
 
     def cmi(self, x, y, z=None) -> InfoValue:
@@ -217,13 +216,11 @@ class Estimator:
     def cmi_value(self, x, y, z=None) -> float:
         return self.cmi(x, y, z).value
 
-    def cmis(self, xs, y, z=None) -> np.ndarray:
-        """CMI of each member of ``xs`` against one fixed (y, z).
+    def cmis(self, xs: SurrogateBatch, y, z=None) -> np.ndarray:
+        """CMI of each member of the batch ``xs`` against one fixed (y, z).
 
-        ``xs`` is a sequence (``len`` and integer indexing) of x arguments
-        of one shape, such as a :class:`SurrogateBatch`; returns one value
-        per member, in order. Members are read through :func:`members`, so
-        each draw of a batch is gathered once.
+        Returns one value per member, in the batch's member order. Members
+        are read through :func:`members`, so each draw is gathered once.
         """
         out = np.empty(len(xs), dtype=np.float64)
         for i, x in members(xs):
@@ -234,8 +231,9 @@ class Estimator:
         return self.cmis(x_batch, y, z)
 
     def candidates_cmi(self, columns: np.ndarray, y, z=None) -> np.ndarray:
-        """CMI of each column of an (n, m) candidate matrix against (y, z)."""
-        return self.cmis(as_columns(columns).T[:, :, np.newaxis], y, z)
+        """CMI of each column of an (n, m) candidate matrix against (y, z), unshifted."""
+        rotation_0, block = np.zeros((1, 1), dtype=np.intp), ((0, len(columns)),)
+        return self.cmis(SurrogateBatch(columns, rotation_0, block, CIRCULAR_SHIFT, 1), y, z)
 
     def group_cmis(self, blocks, groups) -> np.ndarray:
         """CMI of each group of (x, y, z) blocks, pooled in the order given.

@@ -245,10 +245,12 @@ def gaussian_cmi_batch(x_batch: np.ndarray, y, z=None) -> np.ndarray:
     The (z, y) covariance is computed and factorized once; each batch
     member contributes only its own variance and cross-covariance. Members
     follow the same degeneracy rule as :func:`gaussian_cmi`, so a constant
-    member gets 0.
+    member gets 0; an empty stack gets no values.
     """
     x_batch = _as_batch(x_batch)
     m, n, dx = x_batch.shape
+    if m == 0:
+        return np.zeros(0)
     fixed_c, s_ff, dz = _centered_fixed(y, z, n, dx)
     xc = x_batch - _column_means(x_batch)
     s_xf = np.einsum("mnd,nf->mdf", xc, fixed_c) / (n - 1)
@@ -270,7 +272,8 @@ def _shifted_cross(xc, fixed_c, blocks, rotations) -> np.ndarray:
     out = np.zeros((len(rotations), xc.shape[1], df))
     for b, (start, stop) in enumerate(blocks):
         length = stop - start
-        spec_x = np.fft.rfft(xc[start:stop], axis=0).conj()
+        spec_x = np.fft.rfft(xc[start:stop], axis=0)
+        np.conjugate(spec_x, out=spec_x)
         spec_f = np.fft.rfft(fixed_c[start:stop], axis=0)
         step = max(_CROSS_CELLS // (length * df), 1)
         for c in range(0, xc.shape[1], step):
@@ -339,10 +342,7 @@ class GaussianEstimator(Estimator):
         )[0]
 
     def candidates_cmi(self, columns, y, z=None) -> np.ndarray:
-        columns = as_columns(columns)
-        if columns.shape[1] == 0:
-            return np.zeros(0)
-        return gaussian_cmi_batch(columns.T[:, :, np.newaxis], y, z)
+        return gaussian_cmi_batch(as_columns(columns).T[:, :, np.newaxis], y, z)
 
     def group_cmis(self, blocks, groups) -> np.ndarray:
         """Group CMIs from per-block moments, every group in one kernel call.

@@ -29,7 +29,6 @@ is imported on the first estimate, not with the module.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ from ..neighbors import (
     dense_range_count,
 )
 from ..seeding import rng_for
-from .base import Estimator, InfoValue, as_columns, as_xyz, members
+from .base import Estimator, InfoValue, SurrogateBatch, as_xyz, as_yz, members
 
 _LN2 = math.log(2.0)
 
@@ -73,10 +72,6 @@ def _noise(shapes, settings: KnnSettings) -> list:
     return [rng.uniform(-amp, amp, size=shape) for shape in shapes]
 
 
-def _jitter(parts: tuple[np.ndarray, ...], settings: KnnSettings) -> list[np.ndarray]:
-    return [p + e for p, e in zip(parts, _noise([p.shape for p in parts], settings))]
-
-
 def _check_radii(radii: np.ndarray) -> None:
     if np.any(radii == 0.0):
         raise DuplicatePointsError("duplicate points after jitter; increase noise_amplitude")
@@ -102,7 +97,8 @@ def knn_mi(x, y, settings: KnnSettings = KnnSettings()) -> InfoValue:
 
 def knn_cmi(x, y, z=None, settings: KnnSettings = KnnSettings()) -> InfoValue:
     """Conditional mutual information in bits; an empty z gives the mutual information."""
-    x, y, z = _jitter(as_xyz(x, y, z), settings)
+    parts = as_xyz(x, y, z)
+    x, y, z = (p + e for p, e in zip(parts, _noise([p.shape for p in parts], settings)))
     radii = NeighborIndex(np.concatenate([x, y, z], axis=1)).member_kth_distance(settings.k)
     _check_radii(radii)
     n_xz = _marginal_counts(np.concatenate([x, z], axis=1), radii)
@@ -112,30 +108,26 @@ def knn_cmi(x, y, z=None, settings: KnnSettings = KnnSettings()) -> InfoValue:
     return InfoValue(value=float(local.mean()), local=local)
 
 
-def _dense_cmis(xs, y, z, settings: KnnSettings):
-    """:func:`knn_cmi` value of each member of ``xs`` from dense distance matrices.
+def _dense_cmis(xs: SurrogateBatch, y, z, settings: KnnSettings):
+    """:func:`knn_cmi` value of each member of the batch ``xs`` from dense distance matrices.
 
-    The noise of y and z, and so the (y,z) and (z) matrices, are the same
-    for every member; each member adds the same x noise and builds only its
-    own (x) matrix. Every distance, radius and count equals the one the
-    neighbor index gives, so the values are bitwise those of ``knn_cmi``.
-    The first member read fixes the shape of all of them.
+    Every member is an (n, width) row permutation of the batch's checked
+    columns, so y and z are checked once against n. The noise of y and z,
+    and so the (y,z) and (z) matrices, are the same for every member; each
+    member adds the same x noise and builds only its own (x) matrix. Every
+    distance, radius and count equals the one the neighbor index gives, so
+    the values are bitwise those of ``knn_cmi``.
     """
-    pairs = members(xs)
-    first = next(pairs)
-    x0, y, z = as_xyz(first[1], y, z)
-    n, dx = x0.shape
-    noise_x, noise_y, noise_z = _noise([x0.shape, y.shape, z.shape], settings)
+    n, dx = len(xs.columns), xs.width
+    y, z = as_yz(y, z, n)
+    noise_x, noise_y, noise_z = _noise([(n, dx), y.shape, z.shape], settings)
     y, z = y + noise_y, z + noise_z
     d_yz = chebyshev_matrix(np.concatenate([y, z], axis=1))
     d_z = chebyshev_matrix(z) if z.shape[1] else None
     d_x, joint = np.empty((n, n)), np.empty((n, n))
     work = np.empty((n, n), dtype=bool)
     out = np.empty(len(xs), dtype=np.float64)
-    for i, x in itertools.chain([first], pairs):
-        x = as_columns(x)
-        if x.shape != (n, dx):
-            raise EstimatorError(f"member {i} has shape {x.shape}, member {first[0]} has {(n, dx)}")
+    for i, x in members(xs):
         chebyshev_matrix(x + noise_x, out=d_x)
         radii = dense_kth_distance(np.maximum(d_x, d_yz, out=joint), settings.k)
         _check_radii(radii)
@@ -166,9 +158,8 @@ class KnnEstimator(Estimator):
     def cmi_value(self, x, y, z=None) -> float:
         return knn_cmi(x, y, z, self.settings).value
 
-    def cmis(self, xs, y, z=None) -> np.ndarray:
-        if len(xs) == 0:
-            return np.zeros(0)
-        if len(as_columns(y)) ** 2 > _BLOCK_CELLS:
-            return super().cmis(xs, y, z)
-        return _dense_cmis(xs, y, z, self.settings)
+    def cmis(self, xs: SurrogateBatch, y, z=None) -> np.ndarray:
+        # The default gives an empty batch no values, and anything but a batch an error.
+        if isinstance(xs, SurrogateBatch) and len(xs) and len(xs.columns) ** 2 <= _BLOCK_CELLS:
+            return _dense_cmis(xs, y, z, self.settings)
+        return super().cmis(xs, y, z)

@@ -21,10 +21,11 @@ draw in one ``Estimator.cmi_surrogate_batch`` call. A max test makes one
 call for its whole pool: every candidate column is one candidate of the
 batch, since all share (y, z). A min test makes one call per selected
 variable, whose conditioning differs, and the omnibus test one call for its
-joint block. The default estimator gathers one member at a time and calls
-its scalar estimate; the kNN one does too, but at small n shares the (y, z)
-neighbor distances across every member; the Gaussian one computes every
-member's cross-covariance from the draws without gathering rows.
+joint block. The default estimator gathers each draw's rows once and calls
+its scalar estimate per member; the kNN one does too, but at small n shares
+the (y, z) neighbor distances across every member; the Gaussian one computes
+every member's cross-covariance from the draws without gathering rows. A
+pool's observed CMIs are the members of its unshifted batch (rotation 0).
 """
 
 from __future__ import annotations

@@ -192,6 +192,13 @@ class TestBatchKernel:
         slow = [gaussian_cmi(cols[:, j : j + 1], y, z, with_local=False).value for j in range(10)]
         assert np.allclose(fast, slow, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(0, 50), (0, 50, 2)])
+    def test_empty_stack_gives_no_values(self, shape):
+        rng = np.random.default_rng(26)
+        y, z = rng.normal(size=(50, 1)), rng.normal(size=(50, 1))
+        assert gaussian_cmi_batch(np.empty(shape), y, z).shape == (0,)
+        assert GaussianEstimator().candidates_cmi(np.empty((50, 0)), y, z).shape == (0,)
+
 
 def _outcome(call):
     """The call's value, or the type of the exception it raised."""

@@ -134,11 +134,12 @@ class TestAdapter:
             assert vals.shape == (block.shape[1] * 4,)
             assert vals.tolist() == [est.cmi_value(batch[i], y, None) for i in range(len(batch))]
 
-    def test_members_must_share_a_shape(self):
+    @pytest.mark.parametrize("n", [100, 300], ids=["dense", "loop"])
+    def test_cmis_takes_only_a_surrogate_batch(self, n):
         rng = np.random.default_rng(52)
-        x, y = _gauss_pair(rng, 100, 0.5)
-        with pytest.raises(EstimatorError, match="member 1"):
-            KnnEstimator().cmis([x, x[:, [0, 0]]], y)
+        x, y = _gauss_pair(rng, n, 0.5)
+        with pytest.raises(EstimatorError, match="SurrogateBatch, not list"):
+            KnnEstimator().cmis([x, x], y)
 
 
 @st.composite

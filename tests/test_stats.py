@@ -610,6 +610,15 @@ class TestDefaultSurrogateBatch:
             candidate, draw = divmod(i, batch.n_draws)
             columns = batch.columns[:, candidate * batch.width : (candidate + 1) * batch.width]
             assert np.array_equal(batch[i], columns[index[draw]])
+        # Rotation 0 over one block leaves every column in place: the
+        # unshifted batch that candidates_cmi hands to cmis.
+        n, total = batch.columns.shape
+        rotation_0 = np.zeros((1, 1), dtype=np.intp)
+        unshifted = SurrogateBatch(batch.columns, rotation_0, ((0, n),), CIRCULAR_SHIFT, 1)
+        pairs = list(base.members(unshifted))
+        assert [i for i, _ in pairs] == list(range(total))
+        for j, member in pairs:
+            assert member.tobytes() == batch.columns[:, j : j + 1].tobytes()
         estimators = (
             [DiscreteEstimator(alphabet_size=3)]
             if discrete
@@ -619,6 +628,9 @@ class TestDefaultSurrogateBatch:
             values = estimator.cmi_surrogate_batch(batch, y, z)
             expected = [estimator.cmi_value(batch[i], y, z) for i in range(len(batch))]
             assert values.tolist() == expected
+            observed = estimator.candidates_cmi(batch.columns, y, z)
+            expected = [estimator.cmi_value(member, y, z) for _, member in pairs]
+            assert observed.tolist() == expected
 
     @pytest.mark.parametrize(
         "estimator", [GaussianEstimator(), KnnEstimator(), DiscreteEstimator(alphabet_size=2)]
