@@ -7,12 +7,12 @@ against a null built by exchanging whole replications between conditions.
 Exchanging raw samples is refused, since it would destroy autocorrelation
 and invalidate the null.
 
-A link's embedded rows are kept as one (x, y, z) block per replication. The
-two conditions and every exchange draw are groups of block ids, and one
-``Estimator.group_cmis`` call evaluates all of them: the Gaussian estimator
-builds each group's covariance from per-replication moments and runs every
-group through one batched kernel call, while the other estimators
-concatenate each group's blocks in order.
+A link's two conditions are embedded once each into one (x, y, z) table
+whose replications are the (start, stop) row blocks of a surrogate batch.
+The observed split and every exchange are groups of block ids, all
+evaluated by one ``Estimator.group_cmis`` call: the Gaussian estimator from
+per-block moments in one batched kernel call, the others by gathering each
+group's rows block by block in order.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     EmptyLinkSetError,
     InsufficientReplicationsError,
 )
+from .estimators.base import replication_blocks
 from .inference import InferenceSettings, NetworkResult, make_estimator, prepare_dataset
 from .seeding import PHASE_COMPARE, rng_for
 from .stats import check_permutation_count, fdr_correct, permutation_pvalue
@@ -108,26 +109,6 @@ def union_link_structures(*networks: NetworkResult) -> list[LinkStructure]:
     return out
 
 
-def _per_replication_blocks(
-    dataset: Dataset, structure: LinkStructure, max_lag: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Embedded (x, y, z) rows of each replication, kept separate for exchange."""
-    variables = structure.source_vars + structure.conditioning
-    real = embed(dataset, structure.target, variables, max_lag=max_lag)
-    n_x = len(structure.source_vars)
-    blocks = []
-    for r in range(dataset.n_replications):
-        rows = real.replication_of_row == r
-        blocks.append(
-            (
-                real.lagged[rows][:, :n_x],
-                real.present[rows][:, np.newaxis],
-                real.lagged[rows][:, n_x:],
-            )
-        )
-    return blocks
-
-
 def compare_networks(
     data_a: Dataset,
     data_b: Dataset,
@@ -161,16 +142,20 @@ def compare_networks(
     total = r_a + r_b
     comparisons: list[tuple[int, int, float, float, float, float]] = []
     for link_no, structure in enumerate(sorted(links, key=lambda l: (l.target, l.source))):
-        max_lag = max(v.lag for v in structure.source_vars + structure.conditioning)
+        variables = structure.source_vars + structure.conditioning
+        max_lag = max(v.lag for v in variables)
         estimator = make_estimator(settings, data_a, structure.target)
-        blocks = _per_replication_blocks(data_a, structure, max_lag)
-        blocks += _per_replication_blocks(data_b, structure, max_lag)
-        groups = [range(r_a), range(r_a, total)]
-        rng = rng_for(seed, PHASE_COMPARE, link_no)
-        for _ in range(n_perm):
-            perm = rng.permutation(total)
-            groups += [perm[:r_a], perm[r_a:]]
-        values = estimator.group_cmis(blocks, groups)
+        a, b = (embed(d, structure.target, variables, max_lag=max_lag) for d in (data_a, data_b))
+        lagged = np.concatenate([a.lagged, b.lagged])
+        n_x = len(structure.source_vars)
+        rep_ids = np.concatenate([a.replication_of_row, b.replication_of_row + r_a])
+        blocks = replication_blocks(rep_ids)
+        # Order 0 is the identity, the observed split; the others are exchanges.
+        orders = np.tile(np.arange(total), (n_perm + 1, 1))
+        orders[1:] = rng_for(seed, PHASE_COMPARE, link_no).permuted(orders[1:], axis=1)
+        groups = [ids for order in orders for ids in (order[:r_a], order[r_a:])]
+        x, y, z = lagged[:, :n_x], np.concatenate([a.present, b.present]), lagged[:, n_x:]
+        values = estimator.group_cmis(x, y, z, blocks, groups)
         stat_a, stat_b = float(values[0]), float(values[1])
         delta = stat_a - stat_b
         p = permutation_pvalue(abs(delta), np.abs(values[2::2] - values[3::2]))

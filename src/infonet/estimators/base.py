@@ -6,6 +6,9 @@ Every estimator reads (x, y, z) through :func:`as_xyz`, or (y, z) through
 an absent or empty z an (n, 0) block. Input of more than two dimensions
 raises ``DataError``, a NaN or infinite value ``InvalidValueError``, and
 arguments whose row counts differ ``EstimatorError``.
+
+Replications are (start, stop) row blocks that tile a table, checked by
+:func:`check_blocks` for a :class:`SurrogateBatch` and ``group_cmis`` alike.
 """
 
 from __future__ import annotations
@@ -64,6 +67,29 @@ def as_xyz(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (x, *as_yz(y, z, x.shape[0]))
 
 
+def replication_blocks(rep_ids: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) rows of each run of equal replication ids, in row order."""
+    ids = np.asarray(rep_ids)
+    if ids.ndim != 1 or ids.size == 0:
+        raise StatsError("replication ids must be a non-empty 1-D array")
+    boundaries = np.flatnonzero(np.diff(ids) != 0) + 1
+    edges = [0, *boundaries.tolist(), ids.size]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def check_blocks(blocks, n: int) -> None:
+    """Raise ``StatsError`` naming ``blocks`` unless they tile rows 0..n in order.
+
+    A gap, an overlap, an empty block, a negative start or a stop past n
+    would otherwise skip, repeat or silently wrap rows in a row gather.
+    """
+    starts, stops = [start for start, _ in blocks], [stop for _, stop in blocks]
+    if not stops or starts != [0, *stops[:-1]] or stops[-1] != n or any(
+        start >= stop for start, stop in blocks
+    ):
+        raise StatsError(f"blocks {blocks} do not tile rows 0..{n}")
+
+
 def gather_indices(draws: np.ndarray, blocks, method: str) -> np.ndarray:
     """(k, n) gather indices of the (k, blocks) draws of a :class:`SurrogateBatch`."""
     starts, stops = np.array(blocks).T
@@ -115,12 +141,7 @@ class SurrogateBatch:
             object.__setattr__(self, "width", total)
         if self.width < 1 or total % self.width:
             raise StatsError(f"{total} columns do not split into candidates of width {self.width}")
-        n = self.columns.shape[0]
-        starts, stops = [start for start, _ in self.blocks], [stop for _, stop in self.blocks]
-        if not stops or starts != [0, *stops[:-1]] or stops[-1] != n or any(
-            start >= stop for start, stop in self.blocks
-        ):
-            raise StatsError(f"blocks {self.blocks} do not tile rows 0..{n}")
+        check_blocks(self.blocks, self.columns.shape[0])
         object.__setattr__(self, "draws", _checked_draws(self.draws, self.blocks, self.method))
 
     @property
@@ -198,8 +219,8 @@ class Estimator:
     override ``cmi_value`` (scalar fast path). ``cmis`` evaluates the same
     conditional mutual information for every member of a
     :class:`SurrogateBatch` against one fixed (y, z), and ``group_cmis`` for
-    many unions of replication blocks; the defaults loop over ``cmi_value``,
-    so they equal the scalar path exactly.
+    many unions of the same replication blocks of one (x, y, z) table; the
+    defaults loop over ``cmi_value``, so they equal the scalar path exactly.
 
     ``cmi_surrogate_batch`` (the draws of one permutation test) and
     ``candidates_cmi`` (the unshifted batch of a candidate matrix, whose one
@@ -235,19 +256,20 @@ class Estimator:
         rotation_0, block = np.zeros((1, 1), dtype=np.intp), ((0, len(columns)),)
         return self.cmis(SurrogateBatch(columns, rotation_0, block, CIRCULAR_SHIFT, 1), y, z)
 
-    def group_cmis(self, blocks, groups) -> np.ndarray:
-        """CMI of each group of (x, y, z) blocks, pooled in the order given.
+    def group_cmis(self, x, y, z, blocks, groups) -> np.ndarray:
+        """CMI of each group of replication blocks of one (x, y, z) table.
 
-        ``blocks`` is a list of per-replication ``(x, y, z)`` arrays and each
-        entry of ``groups`` a sequence of block ids; returns one value per
-        group. The default concatenates a group's blocks in the given order
+        ``blocks`` are the (start, stop) rows of the replications, which must
+        tile the table as in a :class:`SurrogateBatch`, and each entry of
+        ``groups`` is a sequence of block ids; returns one value per group.
+        The default gathers a group's rows block by block in the given order
         and calls ``cmi_value``. That order is kept because an estimator may
         depend on it: kNN jitter is added row by row.
         """
+        x, y, z = as_xyz(x, y, z)
+        check_blocks(blocks, len(x))
         out = np.empty(len(groups), dtype=np.float64)
-        for g, members in enumerate(groups):
-            x, y, z = (
-                np.concatenate([blocks[i][k] for i in members], axis=0) for k in range(3)
-            )
-            out[g] = self.cmi_value(x, y, z)
+        for g, ids in enumerate(groups):
+            rows = np.concatenate([np.arange(*blocks[i]) for i in ids])
+            out[g] = self.cmi_value(x[rows], y[rows], z[rows])
         return out

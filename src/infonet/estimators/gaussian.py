@@ -57,7 +57,9 @@ import math
 import numpy as np
 
 from ..errors import DataError, EstimatorError, InsufficientSamplesError, SingularCovarianceError
-from .base import CIRCULAR_SHIFT, Estimator, InfoValue, SurrogateBatch, as_columns, as_xyz, as_yz
+from .base import (
+    CIRCULAR_SHIFT, Estimator, InfoValue, SurrogateBatch, as_columns, as_xyz, as_yz, check_blocks
+)
 
 _LN2 = math.log(2.0)
 _NEGATIVE_SLACK = -1e-9
@@ -344,11 +346,11 @@ class GaussianEstimator(Estimator):
     def candidates_cmi(self, columns, y, z=None) -> np.ndarray:
         return gaussian_cmi_batch(as_columns(columns).T[:, :, np.newaxis], y, z)
 
-    def group_cmis(self, blocks, groups) -> np.ndarray:
+    def group_cmis(self, x, y, z, blocks, groups) -> np.ndarray:
         """Group CMIs from per-block moments, every group in one kernel call.
 
-        All blocks are centered once on their pooled mean and reduced to a
-        row count, column sums and a cross-product. The covariance of any
+        The table is centered once on its mean, and each block is reduced to
+        a row count, column sums and a cross-product. The covariance of any
         union of blocks follows exactly from the sums of its members' moments
         (Chan, Golub & LeVeque 1983), so one product with a 0/1 membership
         matrix gives every group's covariance. Values match the
@@ -357,12 +359,13 @@ class GaussianEstimator(Estimator):
         blocks gets exact zero moments in that group, as the default's
         centering gives it, so the degeneracy rule applies to it too.
         """
-        parts = [as_xyz(*block) for block in blocks]
-        dx, dz = parts[0][0].shape[1], parts[0][2].shape[1]
-        rows = np.concatenate([np.concatenate([x, z, y], axis=1) for x, y, z in parts])
+        x, y, z = as_xyz(x, y, z)
+        check_blocks(blocks, len(x))
+        dx, dz = x.shape[1], z.shape[1]
+        rows = np.concatenate([x, z, y], axis=1)
         centered = rows - _column_means(rows)
         d = centered.shape[1]
-        starts = np.concatenate([[0], np.cumsum([len(block[0]) for block in parts])[:-1]])
+        starts = np.array([start for start, _ in blocks])
         moments = np.stack(
             [
                 np.concatenate([[len(c)], c.sum(axis=0), (c.T @ c).ravel()])

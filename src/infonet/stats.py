@@ -49,6 +49,7 @@ from .estimators.base import (
     as_columns,
     as_yz,
     gather_indices,
+    replication_blocks,
 )
 from .seeding import rng_for
 
@@ -85,16 +86,6 @@ class MinStatOutcome:
 
     weakest: int
     result: TestResult
-
-
-def replication_blocks(rep_ids: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) rows of each run of equal replication ids, in row order."""
-    ids = np.asarray(rep_ids)
-    if ids.ndim != 1 or ids.size == 0:
-        raise StatsError("replication ids must be a non-empty 1-D array")
-    boundaries = np.flatnonzero(np.diff(ids) != 0) + 1
-    edges = [0, *boundaries.tolist(), ids.size]
-    return list(zip(edges[:-1], edges[1:]))
 
 
 def surrogate_indices(
@@ -237,19 +228,13 @@ def min_statistic_test(
         raise StatsError("min-statistic test needs at least one selected variable")
     null = _surrogate_null(selected_columns, y, z_base, rep_ids, estimator, policy, n_perm, alpha)
     base = as_yz(y, z_base, selected_columns.shape[0])[1]
-
-    def conditioning(j: int) -> np.ndarray:
-        others = np.delete(selected_columns, j, axis=1)
-        return np.concatenate([base, others], axis=1)
-
-    observed = np.array(
-        [
-            estimator.cmi_value(selected_columns[:, j : j + 1], y, conditioning(j))
-            for j in range(m)
-        ]
-    )
+    columns = [selected_columns[:, j : j + 1] for j in range(m)]
+    conditioning = [
+        np.concatenate([base, np.delete(selected_columns, j, axis=1)], axis=1) for j in range(m)
+    ]
+    observed = np.array([estimator.cmi_value(x, y, z) for x, z in zip(columns, conditioning)])
     weakest = int(np.argmin(observed))
-    nulls = [null(selected_columns[:, j : j + 1], conditioning(j)) for j in range(m)]
+    nulls = [null(x, z) for x, z in zip(columns, conditioning)]
     result = _result(observed[weakest], np.concatenate(nulls).min(axis=0), alpha)
     return MinStatOutcome(weakest=weakest, result=result)
 

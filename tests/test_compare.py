@@ -124,7 +124,9 @@ class TestPinnedOutput:
     """kNN and plug-in comparisons pool each group's replications in order.
 
     The expected values were produced by concatenating the blocks of every
-    group in order and calling ``cmi_value`` once per group.
+    group in order and calling ``cmi_value`` once per group. The Gaussian
+    values come from per-replication moments, with unequal replication
+    counts in the two conditions.
     """
 
     def _single_link(self, data_a, data_b, estimator):
@@ -151,6 +153,41 @@ class TestPinnedOutput:
             -0.03137856035455351,
             0.17073170731707318,
         )
+
+
+    def test_gaussian_two_links(self):
+        back = LinkStructure(
+            source=1,
+            target=0,
+            delay=1,
+            source_vars=(VariableRef(1, 1),),
+            conditioning=(VariableRef(0, 1), VariableRef(0, 2)),
+        )
+        data_a = _condition(0.5, seed=31, n_rep=7, n=150)
+        data_b = _condition(0.3, seed=32, n_rep=5, n=150)
+        settings = InferenceSettings(estimator="gaussian", seed=3)
+        result = compare_networks(data_a, data_b, [_link(), back], settings, n_perm=40, seed=4)
+        assert [
+            (l.source, l.target, l.statistic_a, l.statistic_b, l.delta_bits, l.p_value)
+            for l in result.links
+        ] == [
+            (
+                1,
+                0,
+                0.00019465346855539864,
+                8.98213355692201e-05,
+                0.00010483213298617855,
+                0.6341463414634146,
+            ),
+            (
+                0,
+                1,
+                0.14824788620646578,
+                0.033012304103467824,
+                0.11523558210299796,
+                0.024390243902439025,
+            ),
+        ]
 
 
 class TestUnionStructure:

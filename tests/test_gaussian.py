@@ -22,6 +22,7 @@ from infonet.stats import (
     SurrogatePolicy,
     max_statistic_test,
     omnibus_test,
+    replication_blocks,
     surrogate_index_matrix,
 )
 
@@ -284,7 +285,8 @@ class TestConstantColumn:
         for method in methods:
             batch = surrogate_batch(x, rep_ids, SurrogatePolicy(method, seed=1), 2)
             assert estimator.cmi_surrogate_batch(batch, y, z).tolist() == [0.0, 0.0]
-        assert estimator.group_cmis(blocks, [range(len(blocks))])[0] == 0.0
+        rows = replication_blocks(rep_ids)
+        assert estimator.group_cmis(x, y, z, rows, [range(len(blocks))])[0] == 0.0
 
 
 @st.composite
@@ -368,11 +370,11 @@ class TestProperties:
         assert np.max(np.abs(values - expected)) <= 1e-10
 
         # Three blocks of at least d + 3 rows each; groups of one to three blocks.
-        blocks = list(zip(*(np.split(a, [n // 3, 2 * n // 3]) for a in (x, y, z))))
+        blocks = [(0, n // 3), (n // 3, 2 * n // 3), (2 * n // 3, n)]
         groups = [[2, 0, 1], [1], [0, 2]]
-        values = GaussianEstimator().group_cmis(blocks, groups)
+        values = GaussianEstimator().group_cmis(x, y, z, blocks, groups)
         expected = [
-            _slogdet_cmi(*(np.concatenate([blocks[i][k] for i in g]) for k in range(3)))
+            _slogdet_cmi(*(np.concatenate([a[slice(*blocks[i])] for i in g]) for a in (x, y, z)))
             for g in groups
         ]
         assert np.max(np.abs(values - expected)) <= 1e-10
@@ -586,7 +588,7 @@ class TestFactorize:
 
 @st.composite
 def _replication_groups(draw):
-    """Per-replication (x, y, z) blocks and groups of block ids of unequal sizes."""
+    """An (x, y, z) table, its replication blocks and groups of block ids of unequal sizes."""
     dx, dz = draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 3))
     d = dx + 1 + dz
     n_blocks = draw(st.integers(2, 8))
@@ -594,25 +596,22 @@ def _replication_groups(draw):
     offset = draw(st.sampled_from([0.0, 1e3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mixing = np.eye(d) + np.triu(rng.normal(scale=0.7, size=(d, d)), k=1)
-    blocks = []
-    for length in lengths:
-        data = rng.normal(size=(length, d)) @ mixing + offset
-        blocks.append((data[:, :dx], data[:, dx : dx + 1], data[:, dx + 1 :]))
+    data = np.concatenate([rng.normal(size=(length, d)) @ mixing + offset for length in lengths])
+    blocks = replication_blocks(np.repeat(np.arange(n_blocks), lengths))
     # At least two blocks of at least 8 rows keep every group above d + 2 rows.
     sizes = [draw(st.integers(2, n_blocks)) for _ in range(draw(st.integers(1, 5)))]
     groups = [rng.permutation(n_blocks)[:size] for size in sizes]
-    return blocks, groups
+    return data[:, :dx], data[:, dx : dx + 1], data[:, dx + 1 :], blocks, groups
 
 
-def _coupled_blocks(lengths, offset=0.0):
-    """Per-replication (x, y, z) blocks of one coupled Gaussian system."""
+def _coupled_table(lengths, offset=0.0):
+    """One coupled Gaussian (x, y, z) table and the (start, stop) rows of its replications."""
     rng = np.random.default_rng(8)
     n = sum(lengths)
     z = rng.normal(size=(n, 2))
     x = rng.normal(size=(n, 2)) + 0.4 * z[:, :1]
     y = rng.normal(size=(n, 1)) + 0.6 * x[:, :1]
-    starts = np.cumsum(lengths)[:-1]
-    return list(zip(*(np.split(a, starts) for a in (x + offset, y, z))))
+    return x + offset, y, z, replication_blocks(np.repeat(np.arange(len(lengths)), lengths))
 
 
 class TestGroupCmis:
@@ -621,15 +620,17 @@ class TestGroupCmis:
     @settings(max_examples=60, deadline=None)
     @given(_replication_groups())
     def test_equals_concatenating_default(self, case):
-        blocks, groups = case
         estimator = GaussianEstimator()
-        moments = estimator.group_cmis(blocks, groups)
-        default = Estimator.group_cmis(estimator, blocks, groups)
+        moments = estimator.group_cmis(*case)
+        default = Estimator.group_cmis(estimator, *case)
         assert np.max(np.abs(moments - default)) <= 1e-12
 
     def test_identical_conditions_give_exactly_equal_values(self):
-        blocks = _coupled_blocks([20, 35, 27], offset=1e3) * 2
-        values = GaussianEstimator().group_cmis(blocks, [range(3), range(3, 6)])
+        lengths = [20, 35, 27]
+        x, y, z, _ = _coupled_table(lengths, offset=1e3)
+        x, y, z = (np.concatenate([a, a]) for a in (x, y, z))
+        blocks = replication_blocks(np.repeat(np.arange(6), lengths * 2))
+        values = GaussianEstimator().group_cmis(x, y, z, blocks, [range(3), range(3, 6)])
         assert values[0] > 0.1
         assert values[0] - values[1] == 0.0
 
@@ -639,55 +640,52 @@ class TestGroupCmis:
         return estimator.group_cmis, lambda *args: Estimator.group_cmis(estimator, *args)
 
     def test_singular_z_raises_on_both_paths(self):
-        blocks = [
-            (x, y, np.column_stack([z[:, 0], 3.0 * z[:, 0]]))
-            for x, y, z in _coupled_blocks([50, 50, 100])
-        ]
+        x, y, z, blocks = _coupled_table([50, 50, 100])
+        z = np.column_stack([z[:, 0], 3.0 * z[:, 0]])
         for group_cmis in self._both_paths():
             with pytest.raises(SingularCovarianceError):
-                group_cmis(blocks, [[0, 1], [2]])
+                group_cmis(x, y, z, blocks, [[0, 1], [2]])
 
     @staticmethod
-    def _with_column(blocks, side, values):
-        """``blocks`` with column 0 of x, y or z (side 0, 1, 2) of block b set to values[b]."""
-        out = []
-        for block, value in zip(blocks, values):
-            block = [a.copy() for a in block]
+    def _with_column(table, side, values):
+        """``table`` with column 0 of x, y or z (side 0, 1, 2) of block b set to values[b]."""
+        *arrays, blocks = table
+        arrays = [a.copy() for a in arrays]
+        for (start, stop), value in zip(blocks, values):
             if value is not None:
-                block[side][:, 0] = value
-            out.append(tuple(block))
-        return out
+                arrays[side][start:stop, 0] = value
+        return (*arrays, blocks)
 
     @staticmethod
-    def _value_or_error(group_cmis, blocks, groups):
+    def _value_or_error(group_cmis, table, groups):
         try:
-            return group_cmis(blocks, groups).tolist()
+            return group_cmis(*table, groups).tolist()
         except SingularCovarianceError as err:
             return type(err)
 
     @pytest.mark.parametrize("side", ["x", "y", "z"])
     def test_column_constant_across_a_group_follows_the_default(self, side):
         # Constant at 1.3 in blocks 0 and 1 only, so the pooled mean is not 1.3.
-        blocks = self._with_column(
-            _coupled_blocks([25, 33, 40, 41]), "xyz".index(side), [1.3, 1.3, None, None]
+        table = self._with_column(
+            _coupled_table([25, 33, 40, 41]), "xyz".index(side), [1.3, 1.3, None, None]
         )
         moments, default = (
-            self._value_or_error(f, blocks, [[0, 1], [1, 0]]) for f in self._both_paths()
+            self._value_or_error(f, table, [[0, 1], [1, 0]]) for f in self._both_paths()
         )
         assert moments == default == ([0.0, 0.0] if side != "z" else SingularCovarianceError)
 
     @pytest.mark.parametrize("side", ["x", "y", "z"])
     def test_column_constant_per_block_only_is_not_flagged(self, side):
-        blocks = self._with_column(
-            _coupled_blocks([25, 33, 40, 41]), "xyz".index(side), [1.3, 2.5, 3.0, 4.0]
+        table = self._with_column(
+            _coupled_table([25, 33, 40, 41]), "xyz".index(side), [1.3, 2.5, 3.0, 4.0]
         )
         groups = [[0, 1], [1, 2, 3], [0, 2]]
-        moments, default = (f(blocks, groups) for f in self._both_paths())
+        moments, default = (f(*table, groups) for f in self._both_paths())
         assert np.all(default[:2] != 0.0)
         assert np.max(np.abs(moments - default)) <= 1e-12
 
     def test_short_group_raises_on_both_paths(self):
-        blocks = _coupled_blocks([4, 100, 96])
+        table = _coupled_table([4, 100, 96])
         for group_cmis in self._both_paths():
             with pytest.raises(InsufficientSamplesError):
-                group_cmis(blocks, [[1, 2], [0]])
+                group_cmis(*table, [[1, 2], [0]])

@@ -4,7 +4,11 @@ Each entry point reads (x, y, z) as 2-D columns of finite floats sharing one
 row count. A NaN or infinite value raises ``InvalidValueError``, differing
 row counts ``EstimatorError`` naming both, and input of more than two
 dimensions ``DataError``: none of them may score 0 bits or fail inside numpy.
+Every reader of replication blocks raises ``StatsError`` naming blocks that
+do not tile the rows.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -12,17 +16,20 @@ import pytest
 from infonet import (
     DataError,
     DiscreteEstimator,
+    Estimator,
     EstimatorError,
     GaussianEstimator,
     InvalidValueError,
     KnnEstimator,
     KnnSettings,
+    StatsError,
     SurrogatePolicy,
     gaussian_cmi,
     knn_cmi,
     knn_mi,
     plugin_cmi,
 )
+from infonet.estimators.base import CIRCULAR_SHIFT, SurrogateBatch
 from infonet.estimators.gaussian import gaussian_cmi_batch
 
 from conftest import surrogate_batch
@@ -38,10 +45,15 @@ def _surrogates(estimator):
     return call
 
 
-def _groups(x, y, z):
-    # Each argument is split at its own midpoint, so mismatched rows stay mismatched.
-    blocks = list(zip(*(np.array_split(a, 2) for a in (x, y, z))))
-    return GaussianEstimator().group_cmis(blocks, [[0, 1], [1]])
+def _default_group_cmis(*args):
+    return Estimator.group_cmis(GaussianEstimator(), *args)
+
+
+def _groups(group_cmis):
+    def call(x, y, z):
+        return group_cmis(x, y, z, [(0, N // 2), (N // 2, N)], [[0, 1], [1]])
+
+    return call
 
 
 # name -> (entry point, takes z, needs integer data)
@@ -51,7 +63,8 @@ ENTRY_POINTS = {
     "cmi_value": (GaussianEstimator().cmi_value, True, False),
     "candidates_cmi": (GaussianEstimator().candidates_cmi, True, False),
     "cmi_surrogate_batch": (_surrogates(GaussianEstimator()), True, False),
-    "group_cmis": (_groups, True, False),
+    "group_cmis": (_groups(GaussianEstimator().group_cmis), True, False),
+    "default_group_cmis": (_groups(_default_group_cmis), True, False),
     "knn_mi": (lambda x, y, z: knn_mi(x, y, KnnSettings(k=3)), False, False),
     "knn_cmi": (lambda x, y, z: knn_cmi(x, y, z, KnnSettings(k=3)), True, False),
     "knn_cmi_value": (KnnEstimator(KnnSettings(k=3)).cmi_value, True, False),
@@ -115,3 +128,29 @@ def test_bad_input_raises_a_typed_error(entry, case):
     data[argument] = corrupt(data[argument])
     with pytest.raises(error, match=pattern):
         call(*data.values())
+
+
+# Each reader of replication blocks, called on a valid (x, y, z) table.
+BLOCK_READERS = {
+    "surrogate_batch": lambda x, y, z, blocks: SurrogateBatch(
+        x, np.zeros((1, len(blocks)), dtype=np.intp), blocks, CIRCULAR_SHIFT
+    ),
+    "group_cmis": lambda *args: GaussianEstimator().group_cmis(*args, [[0, 1], [1]]),
+    "default_group_cmis": lambda *args: _default_group_cmis(*args, [[0, 1], [1]]),
+}
+
+MALFORMED_BLOCKS = {
+    "gap": ((0, 50), (60, N)),
+    "overlap": ((0, 60), (50, N)),
+    "negative_start": ((-10, 60), (60, N)),
+    "stop_past_n": ((0, 60), (60, N + 10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+@pytest.mark.parametrize("reader", sorted(BLOCK_READERS))
+def test_blocks_that_do_not_tile_the_rows_raise_a_typed_error(reader, case):
+    # Unchecked, a negative start would wrap in a row gather and a gap would skip rows.
+    blocks = MALFORMED_BLOCKS[case]
+    with pytest.raises(StatsError, match=re.escape(f"blocks {blocks} do not tile rows 0..{N}")):
+        BLOCK_READERS[reader](*_data(False).values(), blocks)

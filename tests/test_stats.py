@@ -491,6 +491,35 @@ class TestMinStatistic:
         assert outcome.weakest != 0
         assert outcome.result.statistic < GaussianEstimator().cmi_value(copy, y, noise)
 
+    def test_each_conditioning_is_built_once(self):
+        # A variable's observed value and its null read one conditioning array.
+        seen = []
+
+        class Recording(GaussianEstimator):
+            def cmi_value(self, x, y, z=None):
+                seen.append(("observed", z))
+                return super().cmi_value(x, y, z)
+
+            def cmi_surrogate_batch(self, x_batch, y, z=None):
+                seen.append(("null", z))
+                return super().cmi_surrogate_batch(x_batch, y, z)
+
+        rng = np.random.default_rng(76)
+        columns, base = rng.normal(size=(200, 3)), rng.normal(size=(200, 1))
+        y = columns.sum(axis=1, keepdims=True) + rng.normal(size=(200, 1))
+        outcome = min_statistic_test(
+            columns, y, base, np.zeros(200, dtype=int), Recording(), _policy(seed=14), 30, 0.05
+        )
+        assert outcome == min_statistic_test(
+            columns, y, base, np.zeros(200, dtype=int), GaussianEstimator(),
+            _policy(seed=14), 30, 0.05,
+        )
+        assert [kind for kind, _ in seen] == ["observed"] * 3 + ["null"] * 3
+        for j in range(3):
+            z = seen[j][1]
+            assert seen[3 + j][1] is z
+            assert np.array_equal(z, np.column_stack([base, np.delete(columns, j, axis=1)]))
+
 
 class TestOmnibus:
     def test_empty_source_set_vacuous(self):
