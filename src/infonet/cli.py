@@ -1,7 +1,14 @@
 """Config-driven command line: generate, infer, ais, pid, compare, export.
 
-Configuration is JSON with flat keys; unknown keys are rejected before any
-computation. Results go to the output path or stdout; progress goes to
+Configuration is JSON with flat keys. A command's keys, and their types, are
+the fields of the object it fills (``InferenceSettings`` for infer, ais and
+compare; ``GroundTruthSpec`` plus ``output_prefix`` for generate) and the
+arguments of the functions it calls. A flag overrides the one key it names:
+``--seed`` sets ``seed``, ``--threads`` ``threads`` and generate's
+``--output`` sets ``output_prefix``. Unknown keys and values whose JSON type
+is not their key's are rejected, naming the key, before any computation; a
+key the config leaves out takes the default of the dataclass or function
+that receives it. Results go to the output path or stdout; progress goes to
 stderr. Exit codes: 0 success, 2 configuration error, 3 data or estimation
 error.
 """
@@ -13,98 +20,112 @@ import dataclasses
 import json
 import sys
 import time
+import types
+import typing
 from pathlib import Path
 
 from .ais import ais_estimate
 from .compare import compare_networks, union_link_structures
 from .data import load_csv, save_csv
 from .errors import ConfigError, InferenceError, InfonetError
-from .export import (
-    canonical_json,
-    network_from_json,
-    network_to_json,
-    to_csv_adjacency,
-    to_dot,
-)
-from .generate import Coupling, GroundTruthSpec, generate_dataset, ground_truth_links
+from .export import canonical_json, network_from_json, network_to_json, to_csv_adjacency, to_dot
+from .generate import GroundTruthSpec, generate_dataset, ground_truth_links
 from .inference import InferenceSettings, infer_network, prepare_dataset
 from .pid import pid_from_data
 
-_SETTINGS_KEYS = {f.name for f in dataclasses.fields(InferenceSettings)}
-_DATA_KEYS = {"input", "kind", "alphabet_size", "replication_mode"}
-
-_GENERATE_KEYS = {
-    "n_processes",
-    "n_samples",
-    "n_replications",
-    "generator",
-    "topology",
-    "noise_scale",
-    "binarize",
-    "burn_in",
-    "seed",
-    "output_prefix",
+# The JSON types a value of each Python type may take: a bool is no number.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+_PATHS = str | list[str]  # one CSV file, or one file per replication
+_SETTINGS = typing.get_type_hints(InferenceSettings)
+_SPEC = typing.get_type_hints(GroundTruthSpec)
+_DATA = {"kind": str, "alphabet_size": int | None, "replication_mode": str}
+_KEYS = {
+    "generate": {**_SPEC, "output_prefix": str},
+    "infer": {"input": _PATHS, **_DATA, "output": str, "threads": int, **_SETTINGS},
+    "ais": {"input": _PATHS, **_DATA, "output": str, "process": int, **_SETTINGS},
+    "pid": {"input": _PATHS, "alphabet_sizes": list[int] | None, "output": str},
+    "compare": {
+        "input_a": _PATHS, "input_b": _PATHS, **_DATA, "networks": list[str], "output": str,
+        "n_perm": int, "alpha": float, "alpha_fdr": float, **_SETTINGS,
+    },
 }
-_INFER_KEYS = _DATA_KEYS | {"output", "threads"} | _SETTINGS_KEYS
-_AIS_KEYS = _DATA_KEYS | {"output", "process"} | _SETTINGS_KEYS
-_PID_KEYS = {"input", "alphabet_sizes", "output"}
-_COMPARE_KEYS = (
-    _DATA_KEYS - {"input"}
-) | {
-    "input_a",
-    "input_b",
-    "networks",
-    "output",
-    "n_perm",
-    "alpha",
-    "alpha_fdr",
-} | _SETTINGS_KEYS
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits ``hint``: a type, a union, a list or tuple of
+    one type, or a dataclass given as the list of its fields."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in hint.__args__)
+    if hint is type(None):
+        return value is None
+    if typing.get_origin(hint) in (list, tuple):
+        return isinstance(value, list) and all(_has_type(v, hint.__args__[0]) for v in value)
+    if dataclasses.is_dataclass(hint):
+        fields = typing.get_type_hints(hint).values()
+        return isinstance(value, list) and len(value) == len(fields) and all(
+            map(_has_type, value, fields)
+        )
+    return type(value) in _JSON_TYPES[hint]
+
+
+def _config(args) -> dict:
+    """The config file overlaid with the given flags, every key and type checked."""
+    cfg = {}
+    if args.config:
+        try:
+            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {args.config}")
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config is not valid JSON: {err}")
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
+    keys = _KEYS[args.command]
+    cfg.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config key for {args.command!r}: {unknown[0]}")
+    for key, value in cfg.items():
+        if not _has_type(value, keys[key]):
+            hint = str(keys[key]) if typing.get_origin(keys[key]) else keys[key].__name__
+            raise ConfigError(f"config key {key!r} must be {hint}, got {json.dumps(value)}")
     return cfg
 
 
-def _check_keys(cfg: dict, allowed: set[str], command: str) -> None:
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config key for {command!r}: {unknown[0]}")
+def _given(cfg: dict, keys) -> dict:
+    """The entries of ``cfg`` under ``keys``; the receiver defaults the rest."""
+    return {k: cfg[k] for k in keys if k in cfg}
 
 
-def _build_settings(cfg: dict, seed_override: int | None) -> InferenceSettings:
-    settings_dict = {k: cfg[k] for k in cfg if k in _SETTINGS_KEYS}
-    if seed_override is not None:
-        settings_dict["seed"] = seed_override
+def _require(cfg: dict, command: str, *keys: str) -> None:
+    for key in keys:
+        if key not in cfg:
+            raise ConfigError(f"{command!r} requires config key {key!r}")
+
+
+def _settings(cfg: dict) -> InferenceSettings:
     try:
-        return InferenceSettings(**settings_dict)
-    except (InferenceError, TypeError) as err:
+        return InferenceSettings(**_given(cfg, _SETTINGS))
+    except InferenceError as err:
         raise ConfigError(f"bad settings: {err}")
 
 
-def _load_dataset(cfg: dict, command: str, key: str = "input"):
-    if key not in cfg:
-        raise ConfigError(f"{command!r} requires an {key!r} path in the config")
-    return load_csv(
-        cfg[key],
-        kind=cfg.get("kind", "continuous"),
-        alphabet_size=cfg.get("alphabet_size"),
-        replication_mode=cfg.get("replication_mode", "auto"),
-    )
+def _dataset(cfg: dict, key: str, settings: InferenceSettings):
+    """Load the data under ``key`` as the estimators see it; log its warnings."""
+    dataset = prepare_dataset(load_csv(cfg[key], **_given(cfg, _DATA)), settings)
+    for warning in dataset.warnings:
+        _log(f"warning: {warning}")
+    return dataset
+
+
+def _network(path: str):
+    if not Path(path).exists():
+        raise ConfigError(f"network file not found: {path}")
+    return network_from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -115,31 +136,13 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_generate(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(cfg, _GENERATE_KEYS, "generate")
-    for key in ("n_processes", "n_samples"):
-        if key not in cfg:
-            raise ConfigError(f"'generate' requires config key {key!r}")
-    try:
-        topology = tuple(Coupling(*entry) for entry in cfg.get("topology", []))
-    except TypeError as err:
-        raise ConfigError(f"bad topology entry: {err}")
-    spec = GroundTruthSpec(
-        n_processes=int(cfg["n_processes"]),
-        n_samples=int(cfg["n_samples"]),
-        topology=topology,
-        generator=cfg.get("generator", "gaussian_ar"),
-        noise_scale=float(cfg.get("noise_scale", 1.0)),
-        n_replications=int(cfg.get("n_replications", 1)),
-        binarize=bool(cfg.get("binarize", False)),
-        burn_in=int(cfg.get("burn_in", 1000)),
-        seed=args.seed if args.seed is not None else int(cfg.get("seed", 0)),
-    )
+def _cmd_generate(cfg: dict) -> int:
+    for f in dataclasses.fields(GroundTruthSpec):
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            _require(cfg, "generate", f.name)
+    spec = GroundTruthSpec(**_given(cfg, _SPEC))
     dataset = generate_dataset(spec)
     prefix = cfg.get("output_prefix", "generated")
-    if args.output:
-        prefix = args.output
     paths = []
     for r in range(dataset.n_replications):
         path = f"{prefix}_rep{r}.csv"
@@ -160,36 +163,27 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_infer(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(cfg, _INFER_KEYS, "infer")
-    settings = _build_settings(cfg, args.seed)
-    dataset = prepare_dataset(_load_dataset(cfg, "infer"), settings)
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
+def _cmd_infer(cfg: dict) -> int:
+    _require(cfg, "infer", "input")
+    settings = _settings(cfg)
+    dataset = _dataset(cfg, "input", settings)
     _log(
         f"inferring {settings.mode} network over {dataset.n_processes} processes "
         f"({dataset.n_samples} samples x {dataset.n_replications} replications)"
     )
-    for warning in dataset.warnings:
-        _log(f"warning: {warning}")
     started = time.monotonic()
-    network = infer_network(dataset, settings, threads=threads)
+    network = infer_network(dataset, settings, **_given(cfg, ["threads"]))
     elapsed = time.monotonic() - started
     _log(f"done in {elapsed:.2f}s: {len(network.adjacency)} significant link(s)")
     # Wall-clock time goes to stderr above, never into the canonical JSON.
-    _emit(network_to_json(network), args.output or cfg.get("output"))
+    _emit(network_to_json(network), cfg.get("output"))
     return 0
 
 
-def _cmd_ais(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(cfg, _AIS_KEYS, "ais")
-    if "process" not in cfg and args.process is None:
-        raise ConfigError("'ais' requires a 'process' index")
-    process = args.process if args.process is not None else int(cfg["process"])
-    settings = _build_settings(cfg, args.seed)
-    dataset = _load_dataset(cfg, "ais")
-    result = ais_estimate(dataset, process, settings)
+def _cmd_ais(cfg: dict) -> int:
+    _require(cfg, "ais", "process", "input")
+    settings = _settings(cfg)
+    result = ais_estimate(_dataset(cfg, "input", settings), cfg["process"], settings)
     payload = {
         "process": result.process,
         "ais_bits": result.value_bits,
@@ -202,60 +196,31 @@ def _cmd_ais(args) -> int:
         "alpha": result.test.alpha,
         "seed": settings.seed,
     }
-    _emit(canonical_json(payload) + "\n", args.output or cfg.get("output"))
+    _emit(canonical_json(payload) + "\n", cfg.get("output"))
     return 0
 
 
-def _cmd_pid(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(cfg, _PID_KEYS, "pid")
-    input_path = args.input or cfg.get("input")
-    if not input_path:
-        raise ConfigError("'pid' requires an input CSV with columns s1, s2, target")
-    alphabet_sizes = cfg.get("alphabet_sizes")
-    raw = load_csv(input_path)
+def _cmd_pid(cfg: dict) -> int:
+    _require(cfg, "pid", "input")
+    raw = load_csv(cfg["input"])
     if raw.n_processes != 3:
         raise ConfigError(f"'pid' input must have exactly 3 columns, got {raw.n_processes}")
     # PID is a static decomposition over observations, so the rows of every
     # replication count. Without given sizes, each column's largest symbol
     # sets its alphabet.
-    atoms = pid_from_data(*raw.values.reshape(3, -1), alphabet_sizes or None)
-    payload = {
-        "redundancy": atoms.redundancy,
-        "unique_1": atoms.unique_1,
-        "unique_2": atoms.unique_2,
-        "synergy": atoms.synergy,
-    }
-    _emit(canonical_json(payload) + "\n", args.output or cfg.get("output"))
+    atoms = pid_from_data(*raw.values.reshape(3, -1), cfg.get("alphabet_sizes") or None)
+    _emit(canonical_json(dataclasses.asdict(atoms)) + "\n", cfg.get("output"))
     return 0
 
 
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(cfg, _COMPARE_KEYS, "compare")
-    for key in ("input_a", "input_b", "networks"):
-        if key not in cfg:
-            raise ConfigError(f"'compare' requires config key {key!r}")
-    settings = _build_settings(cfg, args.seed)
-    data_a = _load_dataset(cfg, "compare", "input_a")
-    data_b = _load_dataset(cfg, "compare", "input_b")
-    networks = []
-    for path in cfg["networks"]:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"network file not found: {p}")
-        networks.append(network_from_json(p.read_text(encoding="utf-8")))
-    links = union_link_structures(*networks)
-    result = compare_networks(
-        data_a,
-        data_b,
-        links,
-        settings,
-        n_perm=int(cfg.get("n_perm", 500)),
-        alpha=float(cfg.get("alpha", 0.05)),
-        alpha_fdr=float(cfg.get("alpha_fdr", 0.05)),
-        seed=settings.seed,
-    )
+def _cmd_compare(cfg: dict) -> int:
+    _require(cfg, "compare", "input_a", "input_b", "networks")
+    settings = _settings(cfg)
+    data_a = _dataset(cfg, "input_a", settings)
+    data_b = _dataset(cfg, "input_b", settings)
+    links = union_link_structures(*map(_network, cfg["networks"]))
+    options = _given(cfg, ["n_perm", "alpha", "alpha_fdr"])
+    result = compare_networks(data_a, data_b, links, settings, seed=settings.seed, **options)
     payload = {
         "n_permutations": result.n_permutations,
         "alpha": result.alpha,
@@ -272,15 +237,12 @@ def _cmd_compare(args) -> int:
             for l in result.links
         ],
     }
-    _emit(canonical_json(payload) + "\n", args.output or cfg.get("output"))
+    _emit(canonical_json(payload) + "\n", cfg.get("output"))
     return 0
 
 
 def _cmd_export(args) -> int:
-    path = Path(args.input)
-    if not path.exists():
-        raise ConfigError(f"network file not found: {path}")
-    network = network_from_json(path.read_text(encoding="utf-8"))
+    network = _network(args.input)
     if args.format == "dot":
         text = to_dot(network)
     elif args.format in ("csv", "csv_adjacency"):
@@ -291,58 +253,50 @@ def _cmd_export(args) -> int:
     return 0
 
 
+# Each flag as (flag, the config key it overrides, help).
+_SEED = ("--seed", "seed", "master seed")
+_OUTPUT = ("--output", "output", "output path (default: stdout)")
+_PREFIX = ("--output", "output_prefix", "prefix of the data and truth files")
+_THREADS = ("--threads", "threads", "worker threads")
+_PROCESS = ("--process", "process", "process index")
+_INPUT = ("--input", "input", "input CSV path")
+# Each config command: its handler, its help and its flags.
+_COMMANDS = {
+    "generate": (_cmd_generate, "synthesize data with known structure", [_SEED, _PREFIX]),
+    "infer": (_cmd_infer, "infer a directed network", [_SEED, _OUTPUT, _THREADS]),
+    "ais": (_cmd_ais, "active information storage", [_SEED, _OUTPUT, _PROCESS]),
+    "pid": (_cmd_pid, "partial information decomposition", [_OUTPUT, _INPUT]),
+    "compare": (_cmd_compare, "compare two conditions over a link set", [_SEED, _OUTPUT]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infonet",
         description="Directed information-transfer network inference toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_threads=False, with_process=False, with_input=False):
+    for command, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
-        if with_threads:
-            p.add_argument("--threads", type=int, default=None, help="worker threads")
-        if with_process:
-            p.add_argument("--process", type=int, default=None, help="process index")
-        if with_input:
-            p.add_argument("--input", default=None, help="input CSV path")
-
-    common(sub.add_parser("generate", help="synthesize data with known structure"))
-    common(sub.add_parser("infer", help="infer a directed network"), with_threads=True)
-    common(sub.add_parser("ais", help="active information storage"), with_process=True)
-    common(sub.add_parser("pid", help="partial information decomposition"), with_input=True)
-    common(sub.add_parser("compare", help="compare two conditions over a link set"))
+        for flag, key, flag_help in flags:
+            kind = int if _KEYS[command][key] is int else str
+            p.add_argument(flag, dest=key, type=kind, help=f"{flag_help}; overrides {key!r}")
 
     export = sub.add_parser("export", help="convert a result JSON")
+    export.set_defaults(handler=_cmd_export)
     export.add_argument("--input", required=True, help="network result JSON")
-    export.add_argument(
-        "--format",
-        default="json",
-        choices=["json", "dot", "csv", "csv_adjacency"],
-        help="output format",
-    )
-    export.add_argument("--output", default=None, help="output path (default: stdout)")
-
-    handlers = {
-        "generate": _cmd_generate,
-        "infer": _cmd_infer,
-        "ais": _cmd_ais,
-        "pid": _cmd_pid,
-        "compare": _cmd_compare,
-        "export": _cmd_export,
-    }
-    parser.set_defaults(handlers=handlers)
+    formats = ["json", "dot", "csv", "csv_adjacency"]
+    export.add_argument("--format", default="json", choices=formats, help="output format")
+    export.add_argument("--output", help="output path (default: stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = args.handlers[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return args.handler(_config(args) if args.command in _KEYS else args)
     except ConfigError as err:
         _log(f"configuration error: {err}")
         return 2

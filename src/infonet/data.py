@@ -271,45 +271,29 @@ def load_csv(
         raise DataError(f"unknown replication_mode {replication_mode!r}")
 
     if len(path_list) > 1:
-        if replication_mode in ("auto", "per_file"):
-            blocks = []
-            for p in path_list:
-                _, data = _parse_csv_file(p)
-                blocks.append(data)
-            shapes = {b.shape for b in blocks}
-            if len(shapes) != 1:
-                raise DataError(f"replication files disagree in shape: {sorted(shapes)}")
-            stacked = np.stack(blocks, axis=2)  # (samples, processes, reps)
-            values = np.transpose(stacked, (1, 0, 2))
-            return Dataset(values=values, kind=kind, alphabet_size=alphabet_size)
-        raise DataError("multiple files require replication_mode per_file")
-
-    header, data = _parse_csv_file(path_list[0])
-    rep_col = None
-    if header is not None:
-        lowered = [h.lower() for h in header]
-        if "rep" in lowered:
-            rep_col = lowered.index("rep")
-    use_rep_col = replication_mode == "rep_column" or (
-        replication_mode == "auto" and rep_col is not None
-    )
-    if use_rep_col:
-        if rep_col is None:
-            rep_col = 0
-        rep_ids = data[:, rep_col]
-        if not np.array_equal(rep_ids, np.rint(rep_ids)):
-            raise InvalidValueError("replication-id column must hold integers")
-        series = np.delete(data, rep_col, axis=1)
-        uniq = np.unique(rep_ids)
-        blocks = [series[rep_ids == u] for u in uniq]
-        lengths = {b.shape[0] for b in blocks}
-        if len(lengths) != 1:
-            raise DataError("replications must have equal length")
-        stacked = np.stack(blocks, axis=2)
-        values = np.transpose(stacked, (1, 0, 2))
-        return Dataset(values=values, kind=kind, alphabet_size=alphabet_size)
-
-    values = data.T[:, :, np.newaxis]
+        if replication_mode not in ("auto", "per_file"):
+            raise DataError("multiple files require replication_mode per_file")
+        blocks = [_parse_csv_file(p)[1] for p in path_list]
+        shapes = {b.shape for b in blocks}
+        if len(shapes) != 1:
+            raise DataError(f"replication files disagree in shape: {sorted(shapes)}")
+    else:
+        header, data = _parse_csv_file(path_list[0])
+        lowered = [h.lower() for h in header or []]
+        rep_col = lowered.index("rep") if "rep" in lowered else None
+        if replication_mode == "rep_column" or (replication_mode == "auto" and rep_col is not None):
+            rep_col = rep_col or 0  # without a 'rep' header, the ids are column 0
+            rep_ids = data[:, rep_col]
+            if not np.array_equal(rep_ids, np.rint(rep_ids)):
+                raise InvalidValueError("replication-id column must hold integers")
+            series = np.delete(data, rep_col, axis=1)
+            blocks = [series[rep_ids == u] for u in np.unique(rep_ids)]
+            if len({b.shape[0] for b in blocks}) != 1:
+                raise DataError("replications must have equal length")
+        else:
+            blocks = [data]
+    # Each block is one replication's (samples, processes) rows.
+    values = np.stack(blocks, axis=2).transpose(1, 0, 2)
     return Dataset(values=values, kind=kind, alphabet_size=alphabet_size)
 
 

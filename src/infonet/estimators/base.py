@@ -8,7 +8,8 @@ raises ``DataError``, a NaN or infinite value ``InvalidValueError``, and
 arguments whose row counts differ ``EstimatorError``.
 
 Replications are (start, stop) row blocks that tile a table, checked by
-:func:`check_blocks` for a :class:`SurrogateBatch` and ``group_cmis`` alike.
+:func:`check_blocks` for a :class:`SurrogateBatch` and ``group_cmis`` alike;
+:func:`check_groups` checks the block ids of ``group_cmis``' groups.
 """
 
 from __future__ import annotations
@@ -88,6 +89,27 @@ def check_blocks(blocks, n: int) -> None:
         start >= stop for start, stop in blocks
     ):
         raise StatsError(f"blocks {blocks} do not tile rows 0..{n}")
+
+
+def check_groups(groups, n_blocks: int) -> None:
+    """Raise ``StatsError`` naming the first group that is empty or holds a
+    block id that is not an integer in 0..n_blocks-1.
+
+    An id may repeat within a group: its block then counts once per repeat,
+    on every ``group_cmis`` path. Valid groups take one vectorized pass.
+    """
+
+    def in_range(ids: np.ndarray) -> bool:
+        return ids.dtype.kind in "iu" and bool(((ids >= 0) & (ids < n_blocks)).all())
+
+    if all(map(len, groups)) and in_range(np.concatenate([*groups, np.empty(0, np.intp)])):
+        return
+    for g, ids in enumerate(map(np.asarray, groups)):
+        if not (ids.size and in_range(ids)):
+            raise StatsError(
+                f"group {g} {ids.tolist()} must hold one or more integer block ids "
+                f"in 0..{n_blocks - 1}"
+            )
 
 
 def gather_indices(draws: np.ndarray, blocks, method: str) -> np.ndarray:
@@ -262,12 +284,15 @@ class Estimator:
         ``blocks`` are the (start, stop) rows of the replications, which must
         tile the table as in a :class:`SurrogateBatch`, and each entry of
         ``groups`` is a sequence of block ids; returns one value per group.
+        :func:`check_groups` checks the ids; a repeated id counts its block
+        once per repeat.
         The default gathers a group's rows block by block in the given order
         and calls ``cmi_value``. That order is kept because an estimator may
         depend on it: kNN jitter is added row by row.
         """
         x, y, z = as_xyz(x, y, z)
         check_blocks(blocks, len(x))
+        check_groups(groups, len(blocks))
         out = np.empty(len(groups), dtype=np.float64)
         for g, ids in enumerate(groups):
             rows = np.concatenate([np.arange(*blocks[i]) for i in ids])

@@ -58,7 +58,8 @@ import numpy as np
 
 from ..errors import DataError, EstimatorError, InsufficientSamplesError, SingularCovarianceError
 from .base import (
-    CIRCULAR_SHIFT, Estimator, InfoValue, SurrogateBatch, as_columns, as_xyz, as_yz, check_blocks
+    CIRCULAR_SHIFT, Estimator, InfoValue, SurrogateBatch, as_columns, as_xyz, as_yz, check_blocks,
+    check_groups,
 )
 
 _LN2 = math.log(2.0)
@@ -361,6 +362,7 @@ class GaussianEstimator(Estimator):
         """
         x, y, z = as_xyz(x, y, z)
         check_blocks(blocks, len(x))
+        check_groups(groups, len(blocks))
         dx, dz = x.shape[1], z.shape[1]
         rows = np.concatenate([x, z, y], axis=1)
         centered = rows - _column_means(rows)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from infonet import InferenceSettings, infer_network, load_csv, network_to_json
+from infonet import cli
 from infonet.cli import main
 
 
@@ -138,6 +139,48 @@ class TestInferWarnings:
         assert "warning: constant series: process 0, replication 1" in err
         expected = network_to_json(infer_network(load_csv(paths), InferenceSettings(seed=9)))
         assert out_path.read_text() == expected
+
+
+class TestDatasetWarnings:
+    """``ais`` and ``compare`` log the warnings of the data they read, as ``infer`` does."""
+
+    @staticmethod
+    def _replications(tmp_path, name, constant):
+        rng = np.random.default_rng(194)
+        paths = []
+        for r in range(3):
+            x = rng.normal(size=300)
+            y = np.concatenate([[0.0], 0.6 * x[:-1]]) + rng.normal(size=300)
+            if constant and r == 1:
+                x[:] = 2.0
+            path = tmp_path / f"{name}{r}.csv"
+            np.savetxt(path, np.column_stack([x, y]), delimiter=",")
+            paths.append(str(path))
+        return paths
+
+    def test_ais(self, tmp_path, capsys):
+        config = tmp_path / "ais.json"
+        paths = self._replications(tmp_path, "a", constant=True)
+        config.write_text(json.dumps({"input": paths, "process": 1, "n_perm_omnibus": 50}))
+        assert run_cli(["ais", "--config", str(config)]) == 0
+        assert "warning: constant series: process 0, replication 1" in capsys.readouterr().err
+
+    def test_compare(self, tmp_path, capsys):
+        paths_a = self._replications(tmp_path, "a", constant=False)
+        infer_cfg = tmp_path / "infer.json"
+        infer_cfg.write_text(json.dumps({"input": paths_a}))
+        net_path = tmp_path / "net.json"
+        assert run_cli(["infer", "--config", str(infer_cfg), "--output", str(net_path)]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        cfg = tmp_path / "cmp.json"
+        paths_b = self._replications(tmp_path, "b", constant=True)
+        cfg.write_text(
+            json.dumps(
+                {"input_a": paths_a, "input_b": paths_b, "networks": [str(net_path)], "n_perm": 40}
+            )
+        )
+        assert run_cli(["compare", "--config", str(cfg)]) == 0
+        assert "warning: constant series: process 0, replication 1" in capsys.readouterr().err
 
 
 class TestAis:
@@ -329,3 +372,94 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "infer" in result.stdout
+
+
+class TestConfigSchema:
+    """Every key has its type; every flag overrides the one key it names."""
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("generate", {"n_processes": "three", "n_samples": 100}, "n_processes"),
+            ("generate", {"n_processes": 2, "n_samples": 100, "noise_scale": "1"}, "noise_scale"),
+            ("generate", {"n_processes": 2, "n_samples": 100, "binarize": 1}, "binarize"),
+            ("generate", {"n_processes": 2, "n_samples": 9, "topology": [[0, 1, 1]]}, "topology"),
+            ("infer", {"input": "x.csv", "threads": "two"}, "threads"),
+            ("infer", {"input": "x.csv", "threads": True}, "threads"),
+            ("infer", {"input": "x.csv", "seed": 2.0}, "seed"),
+            ("infer", {"input": "x.csv", "n_perm_max": "many"}, "n_perm_max"),
+            ("infer", {"input": ["x.csv", 3]}, "input"),
+            ("ais", {"input": "x.csv", "process": True}, "process"),
+            ("ais", {"input": "x.csv", "process": 0, "alpha_omnibus": "0.05"}, "alpha_omnibus"),
+            ("pid", {"input": "x.csv", "alphabet_sizes": "2"}, "alphabet_sizes"),
+            ("pid", {"input": 3}, "input"),
+            ("compare", {"input_a": "a.csv", "n_perm": "many"}, "n_perm"),
+            ("compare", {"input_a": "a.csv", "alpha": "0.05"}, "alpha"),
+            ("compare", {"input_a": "a.csv", "normalize": "yes"}, "normalize"),
+        ],
+    )
+    def test_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, command, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli([command, "--config", str(path)]) == 2
+        assert f"configuration error: config key {key!r} must be" in capsys.readouterr().err
+
+    def test_null_alphabet_size_is_the_default(self, ring_files, capsys):
+        config = ring_files / "infer.json"
+        config.write_text(
+            json.dumps({"input": str(ring_files / "ring_rep0.csv"), "alphabet_size": None})
+        )
+        assert run_cli(["infer", "--config", str(config)]) == 0
+        expected = network_to_json(
+            infer_network(load_csv(str(ring_files / "ring_rep0.csv")), InferenceSettings())
+        )
+        assert capsys.readouterr().out == expected
+
+    def test_seed_flag_beats_the_file(self, ring_files, capsys):
+        config = ring_files / "infer.json"
+        config.write_text(json.dumps({"input": str(ring_files / "ring_rep0.csv"), "seed": 6}))
+        assert run_cli(["infer", "--config", str(config), "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+    def test_threads_flag_beats_the_file(self, ring_files, monkeypatch):
+        calls = []
+
+        def recording(dataset, settings, **options):
+            calls.append(options)
+            return infer_network(dataset, settings, **options)
+
+        monkeypatch.setattr(cli, "infer_network", recording)
+        config = ring_files / "infer.json"
+        config.write_text(json.dumps({"input": str(ring_files / "ring_rep0.csv"), "threads": 4}))
+        out = ring_files / "net.json"
+        assert run_cli(["infer", "--config", str(config), "--output", str(out)]) == 0
+        assert run_cli(["infer", "--config", str(config), "--threads", "2"]) == 0
+        assert calls == [{"threads": 4}, {"threads": 2}]
+
+    def test_process_flag_beats_the_file(self, tmp_path, capsys):
+        rng = np.random.default_rng(195)
+        data = tmp_path / "two.csv"
+        np.savetxt(data, rng.normal(size=(300, 2)), delimiter=",")
+        config = tmp_path / "ais.json"
+        config.write_text(json.dumps({"input": str(data), "process": 0, "n_perm_omnibus": 50}))
+        assert run_cli(["ais", "--config", str(config), "--process", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["process"] == 1
+
+    def test_generate_output_flag_sets_the_prefix(self, tmp_path):
+        config = tmp_path / "gen.json"
+        config.write_text(
+            json.dumps(
+                {"n_processes": 2, "n_samples": 50, "output_prefix": str(tmp_path / "file")}
+            )
+        )
+        flag = str(tmp_path / "flag")
+        assert run_cli(["generate", "--config", str(config), "--output", flag]) == 0
+        assert (tmp_path / "flag_truth.json").exists()
+        assert not (tmp_path / "file_truth.json").exists()
+
+    def test_pid_has_no_seed_flag(self, tmp_path):
+        data = tmp_path / "xor.csv"
+        data.write_text("0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["pid", "--input", str(data), "--seed", "5"])
+        assert exit_info.value.code == 2

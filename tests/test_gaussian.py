@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infonet import (
@@ -619,6 +619,8 @@ class TestGroupCmis:
 
     @settings(max_examples=60, deadline=None)
     @given(_replication_groups())
+    # A repeated id counts its block once per repeat on both paths.
+    @example((*_coupled_table([25, 33, 40]), [[0, 1, 1], [2, 2, 0, 2]]))
     def test_equals_concatenating_default(self, case):
         estimator = GaussianEstimator()
         moments = estimator.group_cmis(*case)

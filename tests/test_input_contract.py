@@ -5,7 +5,8 @@ row count. A NaN or infinite value raises ``InvalidValueError``, differing
 row counts ``EstimatorError`` naming both, and input of more than two
 dimensions ``DataError``: none of them may score 0 bits or fail inside numpy.
 Every reader of replication blocks raises ``StatsError`` naming blocks that
-do not tile the rows.
+do not tile the rows, and both ``group_cmis`` paths name a group whose block
+ids are not one or more integers in range.
 """
 
 import re
@@ -154,3 +155,26 @@ def test_blocks_that_do_not_tile_the_rows_raise_a_typed_error(reader, case):
     blocks = MALFORMED_BLOCKS[case]
     with pytest.raises(StatsError, match=re.escape(f"blocks {blocks} do not tile rows 0..{N}")):
         BLOCK_READERS[reader](*_data(False).values(), blocks)
+
+
+BAD_GROUPS = {
+    "negative_id": [[0, 1], [0, -1]],
+    "id_past_last_block": [[0, 2]],
+    "float_id": [[1.0, 0]],
+    "empty_group": [[0, 1], []],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GROUPS))
+@pytest.mark.parametrize("reader", ["group_cmis", "default_group_cmis"])
+def test_bad_group_ids_raise_a_typed_error_naming_the_group(reader, case):
+    # Unchecked, -1 wraps to the last block on the default path and 1.0 passes
+    # on the Gaussian one.
+    groups = BAD_GROUPS[case]
+    g = len(groups) - 1
+    group_cmis = {
+        "group_cmis": GaussianEstimator().group_cmis,
+        "default_group_cmis": _default_group_cmis,
+    }[reader]
+    with pytest.raises(StatsError, match=re.escape(f"group {g} {np.asarray(groups[g]).tolist()}")):
+        group_cmis(*_data(False).values(), [(0, N // 2), (N // 2, N)], groups)
