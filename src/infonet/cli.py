@@ -80,6 +80,8 @@ def _config(args) -> dict:
             cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}")
+        except OSError as err:
+            raise ConfigError(f"cannot read config file {args.config}: {err.strerror}")
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}")
         if not isinstance(cfg, dict):
@@ -123,9 +125,13 @@ def _dataset(cfg: dict, key: str, settings: InferenceSettings):
 
 
 def _network(path: str):
-    if not Path(path).exists():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
         raise ConfigError(f"network file not found: {path}")
-    return network_from_json(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ConfigError(f"cannot read network file {path}: {err.strerror}")
+    return network_from_json(text)
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -363,6 +363,8 @@ class GaussianEstimator(Estimator):
         x, y, z = as_xyz(x, y, z)
         check_blocks(blocks, len(x))
         check_groups(groups, len(blocks))
+        if not len(groups):
+            return np.zeros(0)
         dx, dz = x.shape[1], z.shape[1]
         rows = np.concatenate([x, z, y], axis=1)
         centered = rows - _column_means(rows)

@@ -18,10 +18,23 @@ that differ only in x add the same noise to y and z.
 ``KnnEstimator.cmis``, behind every surrogate batch and candidate pool,
 uses that: while an (n, n) matrix fits in the neighbor module's
 ``_BLOCK_CELLS``, it builds the (y,z) and (z) max-norm distance matrices
-once and per member only the (x) one, and takes radii and counts from the
-matrices (brute-force search at small n, as in Wollstadt et al. 2014). Its
-values are those of :func:`knn_cmi` bit for bit; above the bound it calls
-:func:`knn_cmi` per member.
+once, and per member only the (x) one (brute-force search at small n, as in
+Wollstadt et al. 2014). Each member's work is where its x matters:
+
+- Radii. Once per call, each point's L nearest (y,z) neighbors are found,
+  L = 2·isqrt(n·k), with b_i the (L+1)-th smallest (y,z) distance of row i.
+  A member's radius r_i is first taken over that prefix. Every point
+  outside it has a joint distance max(d_x, d_yz) >= d_yz >= b_i, so when
+  r_i <= b_i none of them is closer than r_i, and the full row's k-th
+  distance is r_i exactly. Rows with r_i > b_i are redone on the full row.
+  When L would reach n, every row is full.
+- Counts. The (x,z) count compares the member's own dense matrix with the
+  radii. The (y,z) and (z) matrices are the same for every member, so
+  their rows are sorted once per call, and one left ``searchsorted`` per
+  row counts the entries strictly below the radii of a chunk of members.
+
+Its values are those of :func:`knn_cmi` bit for bit; above the bound it
+calls :func:`knn_cmi` per member.
 
 scipy (``digamma`` here, ``cdist`` and ``cKDTree`` in :mod:`infonet.neighbors`)
 is imported on the first estimate, not with the module.
@@ -29,6 +42,7 @@ is imported on the first estimate, not with the module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,11 +55,16 @@ from ..neighbors import (
     chebyshev_matrix,
     dense_kth_distance,
     dense_range_count,
+    sorted_range_count,
 )
 from ..seeding import rng_for
 from .base import Estimator, InfoValue, SurrogateBatch, as_xyz, as_yz, members
 
 _LN2 = math.log(2.0)
+
+# Cells of one chunk's (members, n) radii and counts in a batch, 128 KiB of
+# float64: at least 64 members while the dense bound holds n to 256.
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -108,37 +127,94 @@ def knn_cmi(x, y, z=None, settings: KnnSettings = KnnSettings()) -> InfoValue:
     return InfoValue(value=float(local.mean()), local=local)
 
 
+def _prefix_length(n: int, k: int) -> int:
+    """Nearest (y,z) neighbors of each point that a batch's radii are searched among first.
+
+    With one x and one (y,z) column, about sqrt(n k) points lie within a
+    point's k-th joint distance in (y,z); twice that covers nearly every
+    row, and wider (y,z) need fewer. More than k whenever k < n. Every
+    length gives the same values; this one is set by n and k alone.
+    """
+    return 2 * math.isqrt(n * k)
+
+
+def _yz_prefix(d_yz: np.ndarray, k: int):
+    """Each row's nearest (y,z) entries, their distances, the next distance and the sorted rows.
+
+    The nearest entries are flat indices into an (n, n) matrix, one row of
+    them per point. The columns of row i outside its prefix sit at a (y,z)
+    distance of at least ``bound[i]``. When the prefix would reach n it is
+    the full row, and the bound is infinite.
+    """
+    n = len(d_yz)
+    order = np.argsort(d_yz, axis=1)
+    sorted_yz = np.take_along_axis(d_yz, order, axis=1)
+    size = min(_prefix_length(n, k), n)
+    flat = order[:, :size] + n * np.arange(n)[:, np.newaxis]
+    bound = sorted_yz[:, size] if size < n else np.full(n, np.inf)
+    return flat, sorted_yz[:, :size], bound, sorted_yz
+
+
+def _member_radii(d_x, d_yz, prefix, near_yz, bound, k: int) -> np.ndarray:
+    """k-th joint neighbor distance of every point, from its (y,z) prefix where that decides it.
+
+    Outside row i's prefix every joint distance is at least ``bound[i]``,
+    since its (y,z) distance is. So when the prefix's k-th joint distance
+    is at most ``bound[i]``, the full row holds no more distances below it
+    than the prefix does and at least k + 1 at or below it: its k-th
+    distance is the same. Rows whose prefix distance exceeds the bound are
+    taken in full.
+    """
+    near = np.maximum(d_x.take(prefix), near_yz)
+    radii = dense_kth_distance(near, k)
+    far = np.flatnonzero(radii > bound)
+    if far.size:
+        radii[far] = dense_kth_distance(np.maximum(d_x[far], d_yz[far]), k)
+    return radii
+
+
 def _dense_cmis(xs: SurrogateBatch, y, z, settings: KnnSettings):
     """:func:`knn_cmi` value of each member of the batch ``xs`` from dense distance matrices.
 
     Every member is an (n, width) row permutation of the batch's checked
     columns, so y and z are checked once against n. The noise of y and z,
     and so the (y,z) and (z) matrices, are the same for every member; each
-    member adds the same x noise and builds only its own (x) matrix. Every
-    distance, radius and count equals the one the neighbor index gives, so
-    the values are bitwise those of ``knn_cmi``.
+    member adds the same x noise and builds only its own (x) matrix. Its
+    radii come from each point's (y,z) prefix (:func:`_member_radii`) and
+    its (x,z) count from the dense matrix. The (y,z) and (z) counts of a
+    chunk of members come from those matrices' sorted rows. Every distance,
+    radius and count equals the one the neighbor index gives, so the values
+    are bitwise those of ``knn_cmi``.
     """
-    n, dx = len(xs.columns), xs.width
+    n, dx, k = len(xs.columns), xs.width, settings.k
     y, z = as_yz(y, z, n)
     noise_x, noise_y, noise_z = _noise([(n, dx), y.shape, z.shape], settings)
     y, z = y + noise_y, z + noise_z
     d_yz = chebyshev_matrix(np.concatenate([y, z], axis=1))
-    d_z = chebyshev_matrix(z) if z.shape[1] else None
-    d_x, joint = np.empty((n, n)), np.empty((n, n))
+    prefix, near_yz, bound, sorted_yz = _yz_prefix(d_yz, k)
+    d_z = sorted_z = None
+    if z.shape[1]:
+        d_z = chebyshev_matrix(z)
+        sorted_z = np.sort(d_z, axis=1)
+    d_x = np.empty((n, n))
     work = np.empty((n, n), dtype=bool)
+    chunk = max(_CHUNK_CELLS // n, 1)
+    radii = np.empty((chunk, n))
+    n_xz = np.empty((chunk, n), dtype=np.int64)
     out = np.empty(len(xs), dtype=np.float64)
-    for i, x in members(xs):
-        chebyshev_matrix(x + noise_x, out=d_x)
-        radii = dense_kth_distance(np.maximum(d_x, d_yz, out=joint), settings.k)
-        _check_radii(radii)
-        if d_z is None:
-            n_z = n - 1
-        else:
-            n_z = dense_range_count(d_z, radii, work)
-            np.maximum(d_x, d_z, out=d_x)
-        n_xz = dense_range_count(d_x, radii, work)
-        n_yz = dense_range_count(d_yz, radii, work)
-        out[i] = _local_cmi(settings.k, n_xz, n_yz, n_z).mean()
+    remaining = members(xs)
+    while block := list(itertools.islice(remaining, chunk)):
+        for j, (_, x) in enumerate(block):
+            chebyshev_matrix(x + noise_x, out=d_x)
+            radii[j] = _member_radii(d_x, d_yz, prefix, near_yz, bound, k)
+            _check_radii(radii[j])
+            if d_z is not None:
+                np.maximum(d_x, d_z, out=d_x)
+            n_xz[j] = dense_range_count(d_x, radii[j], work)
+        m = len(block)
+        n_yz = sorted_range_count(sorted_yz, radii[:m])
+        n_z = n - 1 if sorted_z is None else sorted_range_count(sorted_z, radii[:m])
+        out[[i for i, _ in block]] = _local_cmi(k, n_xz[:m], n_yz, n_z).mean(axis=1)
     return out
 
 

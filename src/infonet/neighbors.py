@@ -27,7 +27,8 @@ never takes a k-th distance or a count on d >= 2 points never loads it.
 For callers that query one small point set many times with different
 radii, :func:`chebyshev_matrix`, :func:`dense_kth_distance` and
 :func:`dense_range_count` give the same distances, k-th distances and
-counts from a full (n, n) distance matrix, under the same conventions.
+counts from a full (n, n) distance matrix, under the same conventions;
+:func:`sorted_range_count` gives the counts from its sorted rows.
 """
 
 from __future__ import annotations
@@ -200,21 +201,26 @@ def chebyshev_matrix(points: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
     Each entry is ``max_i |p_i - q_i|``, exactly the value the index's
     queries compare, and the diagonal is exactly 0. Written into ``out``
-    when given.
+    when given. One column takes one ``subtract`` and one ``abs``, the
+    same float operations as ``cdist``'s, without its per-pair calls.
     """
+    if points.shape[1] == 1:
+        out = np.subtract(points, points.T, out=out)
+        return np.abs(out, out=out)
     from scipy.spatial.distance import cdist
 
     return cdist(points, points, "chebyshev", out=out)
 
 
 def dense_kth_distance(distances: np.ndarray, k: int) -> np.ndarray:
-    """k-th-neighbor distance of every member from its distance matrix, self excluded.
+    """k-th-neighbor distance of every member from its rows of distances, self included.
 
-    Partitions the rows of ``distances`` in place. A member sits at distance
-    0 from itself, so column ``k`` of its partitioned row is its k-th
+    Partitions the rows of ``distances`` in place: the full (n, n) matrix, or
+    any rows of it or of a subset of its columns. A member sits at distance
+    0 from itself, so column ``k`` of its partitioned full row is its k-th
     neighbor, as in :meth:`NeighborIndex.member_kth_distance`.
     """
-    _check_k(k, len(distances))
+    _check_k(k, distances.shape[1])
     distances.partition(k, axis=1)
     return distances[:, k].copy()
 
@@ -226,3 +232,17 @@ def dense_range_count(distances: np.ndarray, radii: np.ndarray, work: np.ndarray
     """
     np.less(distances, radii[:, np.newaxis], out=work)
     return np.count_nonzero(work, axis=1) - 1
+
+
+def sorted_range_count(sorted_rows: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """:func:`dense_range_count` of many sets of radii against one fixed matrix.
+
+    ``sorted_rows`` is the (n, n) distance matrix with each row sorted
+    ascending, and row ``j`` of ``radii`` holds one positive radius per
+    member. A left ``searchsorted`` of a radius in a sorted row counts the
+    entries strictly below it, so one call per row counts it for every set.
+    """
+    counts = np.empty(radii.shape, dtype=np.int64)
+    for i, row in enumerate(sorted_rows):
+        counts[:, i] = np.searchsorted(row, radii[:, i], "left")
+    return counts - 1

@@ -363,6 +363,18 @@ class TestExport:
         assert capsys.readouterr().out == net_path.read_text()
 
 
+class TestUnreadablePaths:
+    """A path that names a directory is a configuration error naming the path."""
+
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        assert run_cli(["infer", "--config", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_export_input_directory_exit_2(self, tmp_path, capsys):
+        assert run_cli(["export", "--input", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(

@@ -6,7 +6,7 @@ row counts ``EstimatorError`` naming both, and input of more than two
 dimensions ``DataError``: none of them may score 0 bits or fail inside numpy.
 Every reader of replication blocks raises ``StatsError`` naming blocks that
 do not tile the rows, and both ``group_cmis`` paths name a group whose block
-ids are not one or more integers in range.
+ids are not one or more integers in range, and give no values for no groups.
 """
 
 import re
@@ -178,3 +178,13 @@ def test_bad_group_ids_raise_a_typed_error_naming_the_group(reader, case):
     }[reader]
     with pytest.raises(StatsError, match=re.escape(f"group {g} {np.asarray(groups[g]).tolist()}")):
         group_cmis(*_data(False).values(), [(0, N // 2), (N // 2, N)], groups)
+
+
+@pytest.mark.parametrize("reader", ["group_cmis", "default_group_cmis"])
+def test_no_groups_give_no_values(reader):
+    group_cmis = {
+        "group_cmis": GaussianEstimator().group_cmis,
+        "default_group_cmis": _default_group_cmis,
+    }[reader]
+    values = group_cmis(*_data(False).values(), [(0, N // 2), (N // 2, N)], [])
+    assert values.shape == (0,)

@@ -15,7 +15,8 @@ from infonet import (
     knn_mi,
 )
 from infonet.errors import EstimatorError
-from infonet.estimators.base import CIRCULAR_SHIFT, REPLICATION_SHUFFLE
+from infonet.estimators.base import CIRCULAR_SHIFT, REPLICATION_SHUFFLE, SurrogateBatch
+from infonet.estimators.knn import _CHUNK_CELLS, _prefix_length
 from infonet.neighbors import _BLOCK_CELLS
 
 from conftest import surrogate_batch
@@ -258,3 +259,82 @@ class TestSharedYZ:
 
 def _one_block_batch(x, n_perm):
     return surrogate_batch(x, np.zeros(len(x), dtype=int), SurrogatePolicy(seed=1), n_perm)
+
+
+def _every_rotation(x, width=None):
+    """The batch of every circular shift of x over one block, rotation 0 included."""
+    n = len(x)
+    return SurrogateBatch(x, np.arange(n)[:, np.newaxis], ((0, n),), CIRCULAR_SHIFT, width)
+
+
+class TestPrefixRadii:
+    """``cmis`` equals ``knn_cmi`` member by member, bit for bit, on every path.
+
+    A batch searches each point's radius among its nearest (y, z) neighbors
+    when n leaves columns outside that prefix, and takes the full row
+    otherwise, or where the prefix cannot decide the radius.
+    """
+
+    @staticmethod
+    def _check(batch, y, z, knn_settings):
+        expected = [knn_cmi(batch[i], y, z, knn_settings).value for i in range(len(batch))]
+        assert KnnEstimator(knn_settings).cmis(batch, y, z).tolist() == expected
+
+    @pytest.mark.parametrize("dz", [0, 2])
+    @pytest.mark.parametrize("dx", [1, 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_n_around_the_prefix_edge(self, k, offset, dx, dz):
+        # The smallest n whose prefix leaves a column out (n = prefix + 1);
+        # one less takes every row in full.
+        edge = next(n for n in range(k + 1, 1000) if _prefix_length(n, k) < n)
+        n = edge + offset
+        rng = np.random.default_rng(100 * k + 10 * dx + dz + offset)
+        data = rng.normal(size=(n, dx + 1 + dz))
+        data[:, dx] += data[:, 0]
+        x, y, z = data[:, :dx], data[:, dx : dx + 1], data[:, dx + 1 :]
+        self._check(_every_rotation(x), y, z, KnnSettings(k=k, seed=3))
+
+    @pytest.mark.parametrize("dx", [1, 2])
+    def test_every_row_falls_back_to_the_full_row(self, dx):
+        # All points form one tight (y, z) cluster, wider than the prefix,
+        # and x spreads them apart: each point's k-th x distance, and so its
+        # radius, exceeds the cluster's diameter, and every prefix bound.
+        n, k = 150, 4
+        assert _prefix_length(n, k) + 1 < n
+        rng = np.random.default_rng(60 + dx)
+        x = np.column_stack([rng.permutation(n), rng.normal(size=(n, dx - 1))]).astype(float)
+        y, z = 1e-3 * rng.normal(size=(n, 1)), 1e-3 * rng.normal(size=(n, 2))
+        assert np.ptp(np.concatenate([y, z], axis=1), axis=0).max() < 1.0
+        self._check(_every_rotation(x[:, :dx]), y, z, KnnSettings(k=k, seed=4))
+
+    @pytest.mark.parametrize("dx", [1, 2])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_tied_distances_without_noise(self, k, dx):
+        # Integer data: distances tie everywhere, radii included, and only
+        # the strict count decides. Distinct x values keep points apart.
+        n = 120
+        rng = np.random.default_rng(70 + k + dx)
+        x = np.column_stack([rng.permutation(n), rng.integers(0, 3, size=(n, dx - 1))])
+        y, z = rng.integers(0, 4, size=(n, 1)), rng.integers(0, 3, size=(n, 2))
+        self._check(
+            _every_rotation(x.astype(float)), y.astype(float), z.astype(float),
+            KnnSettings(k=k, noise_amplitude=0.0),
+        )
+
+    @pytest.mark.parametrize("dx", [1, 2])
+    def test_k_one_below_n(self, dx):
+        n = 30
+        rng = np.random.default_rng(80 + dx)
+        x, y, z = rng.normal(size=(n, dx)), rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+        self._check(_every_rotation(x), y, z, KnnSettings(k=n - 1, seed=5))
+
+    def test_members_over_several_chunks(self):
+        # 2 candidates x 200 rotations, read draw by draw: more members than
+        # one chunk holds.
+        n = 200
+        assert 2 * n > _CHUNK_CELLS // n
+        rng = np.random.default_rng(90)
+        x, y = _gauss_pair(rng, n, 0.6)
+        columns = np.concatenate([x, rng.normal(size=(n, 1))], axis=1)
+        self._check(_every_rotation(columns, width=1), y, rng.normal(size=(n, 1)), KnnSettings())
