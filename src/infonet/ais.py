@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, VariableRef
+from .estimators import InfoValue
 from .inference import InferenceSettings, TargetWorkspace, select_target_past
 from .seeding import PHASE_OMNIBUS
 from .stats import TestResult, omnibus_test
@@ -36,21 +37,16 @@ def ais_estimate(dataset: Dataset, process: int, settings: InferenceSettings) ->
     """Greedy self-embedding plus joint past-present information, with locals."""
     ws = TargetWorkspace(dataset, process, settings, include_sources=False)
     embedding = sorted(select_target_past(ws), key=VariableRef.sort_key)
-    if not embedding:
-        return StorageResult(
-            process=process,
-            value_bits=0.0,
-            selected_embedding=(),
-            test=TestResult(0.0, 1.0, False, settings.n_perm_omnibus, settings.alpha_omnibus),
-            local=np.zeros(ws.n_rows),
-        )
     past_cols = ws.columns(embedding)
-    info = ws.estimator.cmi(past_cols, ws.y, None)
+    if embedding:
+        info = ws.estimator.cmi(past_cols, ws.y, None)
+    else:
+        info = InfoValue(0.0, np.zeros(ws.n_rows))
     test = omnibus_test(
         past_cols,
         ws.y,
         None,
-        ws.rep_ids,
+        ws.blocks,
         ws.estimator,
         ws.policy(PHASE_OMNIBUS, 0),
         settings.n_perm_omnibus,

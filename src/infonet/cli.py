@@ -214,7 +214,7 @@ def _cmd_pid(cfg: dict) -> int:
     # PID is a static decomposition over observations, so the rows of every
     # replication count. Without given sizes, each column's largest symbol
     # sets its alphabet.
-    atoms = pid_from_data(*raw.values.reshape(3, -1), cfg.get("alphabet_sizes") or None)
+    atoms = pid_from_data(*raw.values.reshape(3, -1), cfg.get("alphabet_sizes"))
     _emit(canonical_json(dataclasses.asdict(atoms)) + "\n", cfg.get("output"))
     return 0
 

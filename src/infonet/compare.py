@@ -8,7 +8,7 @@ Exchanging raw samples is refused, since it would destroy autocorrelation
 and invalidate the null.
 
 A link's two conditions are embedded once each into one (x, y, z) table
-whose replications are the (start, stop) row blocks of a surrogate batch.
+whose replications are their ``embed`` row blocks, A's then B's shifted.
 The observed split and every exchange are groups of block ids, all
 evaluated by one ``Estimator.group_cmis`` call: the Gaussian estimator from
 per-block moments in one batched kernel call, the others by gathering each
@@ -29,7 +29,6 @@ from .errors import (
     EmptyLinkSetError,
     InsufficientReplicationsError,
 )
-from .estimators.base import replication_blocks
 from .inference import InferenceSettings, NetworkResult, make_estimator, prepare_dataset
 from .seeding import PHASE_COMPARE, rng_for
 from .stats import check_permutation_count, fdr_correct, permutation_pvalue
@@ -148,8 +147,7 @@ def compare_networks(
         a, b = (embed(d, structure.target, variables, max_lag=max_lag) for d in (data_a, data_b))
         lagged = np.concatenate([a.lagged, b.lagged])
         n_x = len(structure.source_vars)
-        rep_ids = np.concatenate([a.replication_of_row, b.replication_of_row + r_a])
-        blocks = replication_blocks(rep_ids)
+        blocks = a.blocks + tuple((start + a.n_rows, stop + a.n_rows) for start, stop in b.blocks)
         # Order 0 is the identity, the observed split; the others are exchanges.
         orders = np.tile(np.arange(total), (n_perm + 1, 1))
         orders[1:] = rng_for(seed, PHASE_COMPARE, link_no).permuted(orders[1:], axis=1)

@@ -3,7 +3,8 @@
 The canonical layout is a 3-axis array indexed (process, sample, replication).
 Every module in the package indexes in this order. A ``VariableRef`` names one
 candidate past variable as a (process, lag) pair; ``embed`` turns a set of
-them into the flat observation table the estimators consume.
+them into the flat observation table the estimators consume, and reports the
+(start, stop) rows of each replication as its ``blocks``.
 """
 
 from __future__ import annotations
@@ -146,13 +147,14 @@ class Realization:
     """Flat observation table produced by :func:`embed`.
 
     ``present`` holds the target's current sample, ``lagged`` one column per
-    requested ``VariableRef`` (same order). Rows are grouped by replication and never
-    straddle replication boundaries.
+    requested ``VariableRef`` (same order). ``blocks`` holds the (start, stop)
+    rows of each replication in order, the format the permutation tests and
+    ``Estimator.group_cmis`` read; no row straddles two replications.
     """
 
     present: np.ndarray
     lagged: np.ndarray
-    replication_of_row: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
 
     @property
     def n_rows(self) -> int:
@@ -169,6 +171,7 @@ def embed(
 
     The current-sample range is ``[max_lag, n_samples)`` within every
     replication, so all embeddings sharing a ``max_lag`` share observations.
+    Both arrays are fresh copies, never views of the read-only dataset.
     """
     if not 0 <= target < dataset.n_processes:
         raise DataError(f"target process {target} out of range")
@@ -177,8 +180,7 @@ def embed(
         if v.process >= dataset.n_processes:
             raise DataError(f"variable process {v.process} out of range")
     lag_needed = max((v.lag for v in variables), default=0)
-    if max_lag is None:
-        max_lag = max(lag_needed, 1) if variables else max(lag_needed, 0)
+    max_lag = lag_needed if max_lag is None else max_lag
     if lag_needed > max_lag:
         raise DataError(f"variable lag {lag_needed} exceeds max_lag {max_lag}")
     t_len = dataset.n_samples
@@ -187,21 +189,19 @@ def embed(
         raise InsufficientSamplesError(
             f"max_lag {max_lag} leaves no valid samples in replications of length {t_len}"
         )
+    # Row r * n_valid + i holds sample max_lag + i of replication r; each array is
+    # one gather of flat offsets into the C-ordered (process, sample, replication) values.
     n_rep = dataset.n_replications
-    rows = n_rep * n_valid
-    present = np.empty(rows, dtype=np.float64)
-    lagged = np.empty((rows, len(variables)), dtype=np.float64)
-    rep_of_row = np.empty(rows, dtype=np.int64)
-    for r in range(n_rep):
-        sl = slice(r * n_valid, (r + 1) * n_valid)
-        present[sl] = dataset.values[target, max_lag:t_len, r]
-        for j, v in enumerate(variables):
-            lagged[sl, j] = dataset.values[v.process, max_lag - v.lag : t_len - v.lag, r]
-        rep_of_row[sl] = r
+    reps = np.arange(n_rep)[:, np.newaxis, np.newaxis]
+    offsets = np.arange(max_lag, t_len)[:, np.newaxis] * n_rep + reps  # process 0, lag 0
+    processes = np.array([v.process for v in variables], dtype=np.intp)
+    lags = np.array([v.lag for v in variables], dtype=np.intp)
+    present = dataset.values.take(offsets + target * t_len * n_rep).reshape(-1)
+    lagged = dataset.values.take(offsets + (processes * t_len - lags) * n_rep)
     return Realization(
         present=present,
-        lagged=lagged,
-        replication_of_row=rep_of_row,
+        lagged=lagged.reshape(present.size, len(variables)),
+        blocks=tuple((r * n_valid, (r + 1) * n_valid) for r in range(n_rep)),
     )
 
 
@@ -283,11 +283,11 @@ def load_csv(
         rep_col = lowered.index("rep") if "rep" in lowered else None
         if replication_mode == "rep_column" or (replication_mode == "auto" and rep_col is not None):
             rep_col = rep_col or 0  # without a 'rep' header, the ids are column 0
-            rep_ids = data[:, rep_col]
-            if not np.array_equal(rep_ids, np.rint(rep_ids)):
+            labels = data[:, rep_col]
+            if not np.array_equal(labels, np.rint(labels)):
                 raise InvalidValueError("replication-id column must hold integers")
             series = np.delete(data, rep_col, axis=1)
-            blocks = [series[rep_ids == u] for u in np.unique(rep_ids)]
+            blocks = [series[labels == u] for u in np.unique(labels)]
             if len({b.shape[0] for b in blocks}) != 1:
                 raise DataError("replications must have equal length")
         else:

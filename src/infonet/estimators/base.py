@@ -7,13 +7,16 @@ an absent or empty z an (n, 0) block. Input of more than two dimensions
 raises ``DataError``, a NaN or infinite value ``InvalidValueError``, and
 arguments whose row counts differ ``EstimatorError``.
 
-Replications are (start, stop) row blocks that tile a table, checked by
-:func:`check_blocks` for a :class:`SurrogateBatch` and ``group_cmis`` alike;
-:func:`check_groups` checks the block ids of ``group_cmis``' groups.
+Replications are (start, stop) row blocks that tile a table, as ``embed``
+reports them, checked by :func:`check_blocks` for the permutation tests, a
+:class:`SurrogateBatch` and ``group_cmis`` alike; :func:`check_groups`
+checks the block ids of ``group_cmis``' groups.
 """
 
 from __future__ import annotations
 
+import operator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,27 +71,28 @@ def as_xyz(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (x, *as_yz(y, z, x.shape[0]))
 
 
-def replication_blocks(rep_ids: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) rows of each run of equal replication ids, in row order."""
-    ids = np.asarray(rep_ids)
-    if ids.ndim != 1 or ids.size == 0:
-        raise StatsError("replication ids must be a non-empty 1-D array")
-    boundaries = np.flatnonzero(np.diff(ids) != 0) + 1
-    edges = [0, *boundaries.tolist(), ids.size]
-    return list(zip(edges[:-1], edges[1:]))
+def check_blocks(blocks, n: int | None = None) -> tuple[tuple[int, int], ...]:
+    """``blocks`` as a tuple of int (start, stop) pairs that tile rows 0..n in order.
 
-
-def check_blocks(blocks, n: int) -> None:
-    """Raise ``StatsError`` naming ``blocks`` unless they tile rows 0..n in order.
-
-    A gap, an overlap, an empty block, a negative start or a stop past n
-    would otherwise skip, repeat or silently wrap rows in a row gather.
+    ``n`` defaults to the last stop. Anything else raises ``StatsError``
+    naming ``blocks``: a value that is not a sequence of integer pairs, such
+    as an array of per-row replication ids, or pairs with a gap, an overlap,
+    an empty block, a negative start or a stop past n, which would otherwise
+    skip, repeat or silently wrap rows in a row gather.
     """
-    starts, stops = [start for start, _ in blocks], [stop for _, stop in blocks]
-    if not stops or starts != [0, *stops[:-1]] or stops[-1] != n or any(
-        start >= stop for start, stop in blocks
+    try:
+        pairs = tuple((operator.index(start), operator.index(stop)) for start, stop in blocks)
+    except (TypeError, ValueError):
+        raise StatsError(
+            f"blocks must be integer (start, stop) pairs, got {reprlib.repr(blocks)}"
+        ) from None
+    edges = [0, *(stop for _, stop in pairs)]
+    n = edges[-1] if n is None else n
+    if not pairs or pairs != tuple(zip(edges, edges[1:])) or edges[-1] != n or any(
+        start >= stop for start, stop in pairs
     ):
-        raise StatsError(f"blocks {blocks} do not tile rows 0..{n}")
+        raise StatsError(f"blocks {pairs} do not tile rows 0..{n}")
+    return pairs
 
 
 def check_groups(groups, n_blocks: int) -> None:
@@ -163,7 +167,7 @@ class SurrogateBatch:
             object.__setattr__(self, "width", total)
         if self.width < 1 or total % self.width:
             raise StatsError(f"{total} columns do not split into candidates of width {self.width}")
-        check_blocks(self.blocks, self.columns.shape[0])
+        object.__setattr__(self, "blocks", check_blocks(self.blocks, self.columns.shape[0]))
         object.__setattr__(self, "draws", _checked_draws(self.draws, self.blocks, self.method))
 
     @property
@@ -291,7 +295,7 @@ class Estimator:
         depend on it: kNN jitter is added row by row.
         """
         x, y, z = as_xyz(x, y, z)
-        check_blocks(blocks, len(x))
+        blocks = check_blocks(blocks, len(x))
         check_groups(groups, len(blocks))
         out = np.empty(len(groups), dtype=np.float64)
         for g, ids in enumerate(groups):

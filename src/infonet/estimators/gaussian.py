@@ -361,7 +361,7 @@ class GaussianEstimator(Estimator):
         centering gives it, so the degeneracy rule applies to it too.
         """
         x, y, z = as_xyz(x, y, z)
-        check_blocks(blocks, len(x))
+        blocks = check_blocks(blocks, len(x))
         check_groups(groups, len(blocks))
         if not len(groups):
             return np.zeros(0)

@@ -28,7 +28,9 @@ from itertools import takewhile
 import numpy as np
 
 from .data import Dataset, Realization, VariableRef, embed, normalize
-from .errors import DataError, DegenerateTargetError, InferenceError, InfonetError
+from .errors import (
+    DataError, DegenerateTargetError, InferenceError, InfonetError, InsufficientPermutationsError,
+)
 from .estimators import (
     DEFAULT_STATE_CAP,
     DiscreteEstimator,
@@ -51,6 +53,7 @@ from .stats import (
     REPLICATION_SHUFFLE,
     SurrogatePolicy,
     TestResult,
+    check_permutation_count,
     fdr_correct,
     max_statistic_test,
     min_statistic_test,
@@ -120,9 +123,13 @@ class InferenceSettings:
             a = getattr(self, name)
             if not 0.0 < a < 1.0:
                 raise InferenceError(f"{name} must lie in (0, 1), got {a}")
-        for name in ("n_perm_max", "n_perm_min", "n_perm_omnibus", "n_perm_seq"):
-            if getattr(self, name) < 1:
-                raise InferenceError(f"{name} must be >= 1")
+        # Each count must be able to reject at its level; sequential steps are max tests.
+        for test, level in (("max", "max"), ("min", "min"), ("omnibus", "omnibus"), ("seq", "max")):
+            name, alpha = f"n_perm_{test}", f"alpha_{level}"
+            try:
+                check_permutation_count(getattr(self, name), getattr(self, alpha))
+            except InsufficientPermutationsError as err:
+                raise InferenceError(f"{name} at {alpha}: {err}") from None
         if self.surrogate not in ("auto", CIRCULAR_SHIFT, REPLICATION_SHUFFLE):
             raise InferenceError(f"unknown surrogate scheme {self.surrogate!r}")
 
@@ -245,6 +252,7 @@ class TargetWorkspace:
     :func:`infonet.ais.ais_estimate`. ``past_pool`` is empty in MI modes;
     ``include_sources=False`` empties ``source_pool`` and keeps the
     target-past pool whatever the mode (the self-embedding of AIS).
+    Its permutation tests all read ``blocks``, the embedding's replications.
     """
 
     def __init__(
@@ -280,7 +288,7 @@ class TargetWorkspace:
         self._column_of = {v: j for j, v in enumerate(all_vars)}
         self._lagged = realization.lagged
         self.y = realization.present[:, np.newaxis]
-        self.rep_ids = realization.replication_of_row
+        self.blocks = realization.blocks
         self.n_rows = realization.n_rows
 
         if settings.surrogate == "auto":
@@ -357,7 +365,7 @@ def _max_steps(
             observed,
             ws.y,
             z,
-            ws.rep_ids,
+            ws.blocks,
             ws.estimator,
             ws.policy(phase, step),
             n_perm,
@@ -409,7 +417,7 @@ def prune(
                 ws.columns(survivors),
                 ws.y,
                 z,
-                ws.rep_ids,
+                ws.blocks,
                 ws.estimator,
                 ws.policy(PHASE_PRUNE, len(group) - len(survivors)),
                 ws.settings.n_perm_min,
@@ -422,21 +430,12 @@ def prune(
     return kept
 
 
-def _trivial_target_result(target: int, settings: InferenceSettings) -> TargetResult:
-    return TargetResult(
-        target=target,
-        selected_target_past=(),
-        selected_sources=(),
-        omnibus=TestResult(0.0, 1.0, False, settings.n_perm_omnibus, settings.alpha_omnibus),
-        per_source_delay={},
-    )
-
-
 def infer_target(dataset: Dataset, target: int, settings: InferenceSettings) -> TargetResult:
     """Full per-target pipeline: embed, select, prune, omnibus, sequential stats."""
     if dataset.n_processes == 1 and not settings.is_te_mode:
         # MI modes have no candidates at all without a second process.
-        return _trivial_target_result(target, settings)
+        omnibus = TestResult(0.0, 1.0, False, settings.n_perm_omnibus, settings.alpha_omnibus)
+        return TargetResult(target, (), (), omnibus, {})
     ws = TargetWorkspace(dataset, target, settings)
     past = select_target_past(ws)
     survivors = prune(ws, select_sources(ws, past), past)
@@ -446,7 +445,7 @@ def infer_target(dataset: Dataset, target: int, settings: InferenceSettings) -> 
         ws.columns(survivors),
         ws.y,
         ws.columns(past),
-        ws.rep_ids,
+        ws.blocks,
         ws.estimator,
         ws.policy(PHASE_OMNIBUS, 0),
         settings.n_perm_omnibus,

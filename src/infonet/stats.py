@@ -11,21 +11,22 @@ test. Within one draw, every column shares the same per-replication offsets,
 which makes the joint (omnibus) surrogation a special case of the same
 machinery.
 
-The three tests share one null: a test checks its arguments and builds its
-surrogates once, before any estimate, as (n_permutations, blocks) draws,
-never as an (n_permutations, n) index matrix: one :func:`surrogate_indices`
-call draws every right rotation of a circular shift, or every block order of
-a replication shuffle. The estimator gets them as a :class:`SurrogateBatch`
-holding a column block, the draws, the blocks and the method, with every
-draw in one ``Estimator.cmi_surrogate_batch`` call. A max test makes one
-call for its whole pool: every candidate column is one candidate of the
-batch, since all share (y, z). A min test makes one call per selected
-variable, whose conditioning differs, and the omnibus test one call for its
-joint block. The default estimator gathers each draw's rows once and calls
-its scalar estimate per member; the kNN one does too, but at small n shares
-the (y, z) neighbor distances across every member; the Gaussian one computes
-every member's cross-covariance from the draws without gathering rows. A
-pool's observed CMIs are the members of its unshifted batch (rotation 0).
+The three tests share one null: a test checks its arguments, the replications'
+(start, stop) rows (``Realization.blocks``) among them, and builds its
+surrogates once, before any estimate, as (n_permutations, blocks) draws, never
+as an (n_permutations, n) index matrix: one :func:`surrogate_indices` call
+draws every right rotation of a circular shift, or every block order of a
+replication shuffle. The estimator gets them as a :class:`SurrogateBatch`
+holding a column block, the draws, the blocks and the method, with every draw
+in one ``Estimator.cmi_surrogate_batch`` call. A max test makes one call for
+its whole pool: every candidate column is one candidate of the batch, since
+all share (y, z). A min test makes one call per selected variable, whose
+conditioning differs, and the omnibus test one call for its joint block. The
+default estimator gathers each draw's rows once and calls its scalar estimate
+per member; the kNN one does too, but at small n shares the (y, z) neighbor
+distances across every member; the Gaussian one computes every member's
+cross-covariance from the draws without gathering rows. A pool's observed CMIs
+are the members of its unshifted batch (rotation 0).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .estimators.base import (
     SurrogateBatch,
     as_columns,
     as_yz,
+    check_blocks,
     gather_indices,
-    replication_blocks,
 )
 from .seeding import rng_for
 
@@ -89,12 +90,12 @@ class MinStatOutcome:
 
 
 def surrogate_indices(
-    blocks: list[tuple[int, int]], policy: SurrogatePolicy, n_perm: int
+    blocks: tuple[tuple[int, int], ...], policy: SurrogatePolicy, n_perm: int
 ) -> np.ndarray:
     """A test's ``n_perm`` draws of :class:`SurrogateBatch`, as (n_perm, blocks).
 
-    ``blocks`` are the replication blocks of the rows, from
-    :func:`replication_blocks`; a rotation lies in [min_shift, length - min_shift].
+    ``blocks`` are the replications' (start, stop) rows, as ``embed`` reports
+    them; a rotation lies in [min_shift, length - min_shift].
     """
     lengths = np.array([stop - start for start, stop in blocks])
     if policy.method == CIRCULAR_SHIFT:
@@ -113,11 +114,9 @@ def surrogate_indices(
     return rng_for(policy.seed).permuted(np.tile(np.arange(lengths.size), (n_perm, 1)), axis=1)
 
 
-def surrogate_index_matrix(
-    rep_ids: np.ndarray, policy: SurrogatePolicy, n_perm: int
-) -> np.ndarray:
-    """Gather indices of draws 0..n_perm-1, as (n_perm, n); permutation tests never build it."""
-    blocks = replication_blocks(rep_ids)
+def surrogate_index_matrix(blocks, policy: SurrogatePolicy, n_perm: int) -> np.ndarray:
+    """Draws 0..n_perm-1 as (n_perm, n) gather indices; permutation tests never build it."""
+    blocks = check_blocks(blocks)
     return gather_indices(surrogate_indices(blocks, policy, n_perm), blocks, policy.method)
 
 
@@ -148,24 +147,26 @@ def permutation_pvalue(observed: float, null_values: np.ndarray) -> float:
     return (c + 1) / (null_values.size + 1)
 
 
-def _surrogate_null(columns, y, z, rep_ids, estimator, policy, n_perm, alpha):
+def _surrogate_null(columns, y, z, blocks, estimator, policy, n_perm, alpha):
     """Check a test's arguments and draw its surrogates once, before any estimate.
 
     Every argument must have one row per observation. Returns the test's
     null: a function of a column block, its conditioning and its candidate
     width that gives the block's surrogate CMIs under the test's draws,
-    shaped (candidates, n_perm).
+    shaped (candidates, n_perm); or None, with nothing drawn, for no columns.
     """
     n = columns.shape[0]
-    for name, arg in (("rep_ids", rep_ids), ("y", y), ("z", z)):
+    for name, arg in (("y", y), ("z", z)):
         if arg is not None and np.size(arg) and np.shape(arg)[0] != n:
             raise StatsError(f"{name} has {np.shape(arg)[0]} rows, the columns have {n}")
     check_permutation_count(n_perm, alpha)
-    blocks = replication_blocks(rep_ids)
+    blocks = check_blocks(blocks, n)
+    if not columns.shape[1]:
+        return None
     draws = surrogate_indices(blocks, policy, n_perm)
 
     def null(block: np.ndarray, z, width: int | None = None) -> np.ndarray:
-        batch = SurrogateBatch(block, draws, tuple(blocks), policy.method, width)
+        batch = SurrogateBatch(block, draws, blocks, policy.method, width)
         return estimator.cmi_surrogate_batch(batch, y, z).reshape(-1, n_perm)
 
     return null
@@ -182,7 +183,7 @@ def max_statistic_test(
     observed_cmis: np.ndarray,
     y: np.ndarray,
     z: np.ndarray | None,
-    rep_ids: np.ndarray,
+    blocks: tuple[tuple[int, int], ...],
     estimator: Estimator,
     policy: SurrogatePolicy,
     n_perm: int,
@@ -200,7 +201,7 @@ def max_statistic_test(
     observed_cmis = np.asarray(observed_cmis, dtype=np.float64)
     if candidate_columns.shape[1] != observed_cmis.size or observed_cmis.size == 0:
         raise StatsError("need one observed CMI per candidate column")
-    null = _surrogate_null(candidate_columns, y, z, rep_ids, estimator, policy, n_perm, alpha)
+    null = _surrogate_null(candidate_columns, y, z, blocks, estimator, policy, n_perm, alpha)
     statistic = observed_cmis.max() if observed_statistic is None else observed_statistic
     return _result(statistic, null(candidate_columns, z, width=1).max(axis=0), alpha)
 
@@ -209,7 +210,7 @@ def min_statistic_test(
     selected_columns: np.ndarray,
     y: np.ndarray,
     z_base: np.ndarray | None,
-    rep_ids: np.ndarray,
+    blocks: tuple[tuple[int, int], ...],
     estimator: Estimator,
     policy: SurrogatePolicy,
     n_perm: int,
@@ -226,7 +227,7 @@ def min_statistic_test(
     m = selected_columns.shape[1]
     if m == 0:
         raise StatsError("min-statistic test needs at least one selected variable")
-    null = _surrogate_null(selected_columns, y, z_base, rep_ids, estimator, policy, n_perm, alpha)
+    null = _surrogate_null(selected_columns, y, z_base, blocks, estimator, policy, n_perm, alpha)
     base = as_yz(y, z_base, selected_columns.shape[0])[1]
     columns = [selected_columns[:, j : j + 1] for j in range(m)]
     conditioning = [
@@ -243,7 +244,7 @@ def omnibus_test(
     source_columns: np.ndarray,
     y: np.ndarray,
     z: np.ndarray | None,
-    rep_ids: np.ndarray,
+    blocks: tuple[tuple[int, int], ...],
     estimator: Estimator,
     policy: SurrogatePolicy,
     n_perm: int,
@@ -253,12 +254,12 @@ def omnibus_test(
 
     The null surrogates every source column jointly: all columns share one
     set of per-replication offsets per permutation. An empty source set is
-    vacuously non-significant with p = 1.
+    vacuously non-significant with p = 1, once its arguments pass the checks.
     """
     source_columns = as_columns(source_columns)
-    if source_columns.shape[1] == 0:
+    null = _surrogate_null(source_columns, y, z, blocks, estimator, policy, n_perm, alpha)
+    if null is None:
         return TestResult(0.0, 1.0, False, n_perm, alpha)
-    null = _surrogate_null(source_columns, y, z, rep_ids, estimator, policy, n_perm, alpha)
     observed = estimator.cmi_value(source_columns, y, z)
     return _result(observed, null(source_columns, z)[0], alpha)
 

@@ -1,10 +1,12 @@
 """Shared test plumbing: acceptance criteria get one printed line each, and
-the estimator tests build surrogate batches one way."""
+the estimator tests build replication blocks and surrogate batches one way."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from infonet.estimators.base import SurrogateBatch
-from infonet.stats import replication_blocks, surrogate_indices
+from infonet.stats import surrogate_indices
 
 _CRITERION_LINES: list[tuple[int, str]] = []
 
@@ -23,8 +25,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-def surrogate_batch(x, rep_ids, policy, n_perm, width=None) -> SurrogateBatch:
+def blocks_of(lengths) -> tuple[tuple[int, int], ...]:
+    """The (start, stop) rows of consecutive replications of the given lengths."""
+    stops = np.cumsum(lengths).tolist()
+    return tuple(zip([0, *stops[:-1]], stops))
+
+
+def surrogate_batch(x, blocks, policy, n_perm, width=None) -> SurrogateBatch:
     """The draws of one permutation test for column block x, as the tests build them."""
-    blocks = replication_blocks(rep_ids)
     draws = surrogate_indices(blocks, policy, n_perm)
-    return SurrogateBatch(x, draws, tuple(blocks), policy.method, width)
+    return SurrogateBatch(x, draws, blocks, policy.method, width)

@@ -268,7 +268,7 @@ class TestCriterion11PvalueUniformity:
             observed = estimator.candidates_cmi(real.lagged, y, None)
             policy = SurrogatePolicy(method="circular_shift", min_shift=6, seed=seed)
             result = max_statistic_test(
-                real.lagged, observed, y, None, real.replication_of_row,
+                real.lagged, observed, y, None, real.blocks,
                 estimator, policy, 200, 0.05,
             )
             pvals.append(result.p_value)

@@ -119,6 +119,27 @@ class TestInfer:
         assert json.loads(captured.out)["seed"] == 8
 
 
+class TestPermutationCounts:
+    @pytest.mark.parametrize("key", ["n_perm_max", "n_perm_min", "n_perm_omnibus", "n_perm_seq"])
+    @pytest.mark.parametrize("topology", [[], [[0, 1, 2, 0.6]]], ids=["noise", "coupled"])
+    def test_count_that_cannot_reject_exits_2_naming_the_key(
+        self, tmp_path, capsys, key, topology
+    ):
+        # Rejected before any analysis, whether or not the data hold a link.
+        gen = tmp_path / "gen.json"
+        prefix = str(tmp_path / "net")
+        gen.write_text(
+            json.dumps({"n_processes": 2, "n_samples": 300, "topology": topology,
+                        "seed": 3, "output_prefix": prefix})
+        )
+        assert run_cli(["generate", "--config", str(gen)]) == 0
+        config = tmp_path / "infer.json"
+        config.write_text(json.dumps({"input": f"{prefix}_rep0.csv", key: 10}))
+        capsys.readouterr()
+        assert run_cli(["infer", "--config", str(config)]) == 2
+        assert f"configuration error: bad settings: {key} at " in capsys.readouterr().err
+
+
 class TestInferWarnings:
     def test_constant_replication_warned_and_output_unchanged(self, tmp_path, capsys):
         rng = np.random.default_rng(191)
@@ -252,6 +273,15 @@ class TestPid:
         config.write_text(json.dumps({"input": str(data), "alphabet_sizes": [2, 3, 2]}))
         assert run_cli(["pid", "--config", str(config)]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_alphabet_sizes_exit_3(self, tmp_path, capsys):
+        # An explicit [] is passed on, not read as "infer the sizes".
+        data = tmp_path / "pid.csv"
+        data.write_text("0,0,0\n1,1,0\n0,1,1\n")
+        config = tmp_path / "pid.json"
+        config.write_text(json.dumps({"input": str(data), "alphabet_sizes": []}))
+        assert run_cli(["pid", "--config", str(config)]) == 3
+        assert "expected three alphabet sizes" in capsys.readouterr().err
 
     def test_wrong_column_count_exit_2(self, tmp_path):
         data = tmp_path / "two.csv"

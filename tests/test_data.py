@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infonet import (
     DataError,
@@ -162,9 +164,10 @@ class TestEmbed:
         values[0, :, 1] = np.arange(100, 110)
         ds = Dataset(values=values)
         real = embed(ds, 0, [VariableRef(0, 2)], max_lag=2)
-        first = real.replication_of_row == 0
+        assert real.blocks == ((0, 8), (8, 16))
+        first = slice(*real.blocks[0])
         assert real.lagged[first, 0].max() < 100
-        assert real.lagged[~first, 0].min() >= 100
+        assert np.delete(real.lagged[:, 0], first).min() >= 100
 
     def test_shift_roundtrip_exact(self):
         rng = np.random.default_rng(3)
@@ -180,6 +183,42 @@ class TestEmbed:
         real = embed(ds, 0, [], max_lag=1)
         assert np.array_equal(real.present, [2.0, 3.0, 4.0])
         assert real.lagged.shape == (3, 0)
+        assert real.blocks == ((0, 3),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gather_equals_per_replication_slices(self, data):
+        n_proc, n_samples = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 12))
+        n_reps = data.draw(st.integers(1, 4))
+        max_lag = data.draw(st.integers(0, n_samples - 1))
+        # Repeated variables are allowed; without a lag to spare, none are drawn.
+        variables = data.draw(
+            st.lists(
+                st.builds(VariableRef, st.integers(0, n_proc - 1), st.integers(1, max(max_lag, 1))),
+                max_size=5 if max_lag else 0,
+            )
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ds = Dataset(values=np.random.default_rng(seed).normal(size=(n_proc, n_samples, n_reps)))
+        target = data.draw(st.integers(0, n_proc - 1))
+        real = embed(ds, target, variables, max_lag=max_lag)
+
+        n_valid = n_samples - max_lag
+        present = np.empty(n_reps * n_valid)
+        lagged = np.empty((n_reps * n_valid, len(variables)))
+        for r in range(n_reps):
+            rows = slice(r * n_valid, (r + 1) * n_valid)
+            present[rows] = ds.values[target, max_lag:, r]
+            for j, v in enumerate(variables):
+                lagged[rows, j] = ds.values[v.process, max_lag - v.lag : n_samples - v.lag, r]
+        assert present.tobytes() == real.present.tobytes()
+        assert lagged.shape == real.lagged.shape
+        assert lagged.tobytes() == real.lagged.tobytes()
+        # One block per replication, in order, tiling the rows.
+        assert real.blocks == tuple((r * n_valid, (r + 1) * n_valid) for r in range(n_reps))
+        # Fresh arrays: writable, and sharing no memory with the read-only dataset.
+        for array in (real.present, real.lagged):
+            assert array.flags.writeable and not np.shares_memory(array, ds.values)
 
 
 class TestLoadCsv:

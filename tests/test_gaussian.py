@@ -22,11 +22,10 @@ from infonet.stats import (
     SurrogatePolicy,
     max_statistic_test,
     omnibus_test,
-    replication_blocks,
     surrogate_index_matrix,
 )
 
-from conftest import surrogate_batch
+from conftest import blocks_of, surrogate_batch
 
 
 def _correlated_pair(rng, n, rho):
@@ -280,12 +279,11 @@ class TestConstantColumn:
         assert gaussian_cmi(x, y, z).value == 0.0
         assert gaussian_cmi(y, x, z).value == 0.0
         assert gaussian_cmi_batch(x[np.newaxis], y, z)[0] == 0.0
-        rep_ids = np.repeat(np.arange(len(blocks)), [len(b[0]) for b in blocks])
+        rows = blocks_of([len(b[0]) for b in blocks])
         methods = [CIRCULAR_SHIFT] + ([REPLICATION_SHUFFLE] if len(blocks) > 1 else [])
         for method in methods:
-            batch = surrogate_batch(x, rep_ids, SurrogatePolicy(method, seed=1), 2)
+            batch = surrogate_batch(x, rows, SurrogatePolicy(method, seed=1), 2)
             assert estimator.cmi_surrogate_batch(batch, y, z).tolist() == [0.0, 0.0]
-        rows = replication_blocks(rep_ids)
         assert estimator.group_cmis(x, y, z, rows, [range(len(blocks))])[0] == 0.0
 
 
@@ -363,8 +361,8 @@ class TestProperties:
         expected = [_slogdet_cmi(member, y, z) for member in stack]
         assert np.max(np.abs(gaussian_cmi_batch(stack, y, z) - expected)) <= 1e-10
 
-        rep_ids = np.repeat([0, 1], [n // 2, n - n // 2])
-        batch = surrogate_batch(x, rep_ids, SurrogatePolicy(seed=int(rng.integers(1000))), draws)
+        halves = blocks_of([n // 2, n - n // 2])
+        batch = surrogate_batch(x, halves, SurrogatePolicy(seed=int(rng.integers(1000))), draws)
         values = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
         expected = [_slogdet_cmi(member, y, z) for member in _gathered(batch)]
         assert np.max(np.abs(values - expected)) <= 1e-10
@@ -382,7 +380,7 @@ class TestProperties:
 
 @st.composite
 def _surrogate_cases(draw):
-    """(surrogate batch, rep_ids, policy, y, z) as the permutation tests build them."""
+    """(surrogate batch, blocks, policy, y, z) as the permutation tests build them."""
     dx, dy, dz = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 4))
     method = draw(st.sampled_from([CIRCULAR_SHIFT, REPLICATION_SHUFFLE]))
     n_reps = draw(st.integers(1 if method == CIRCULAR_SHIFT else 2, 4))
@@ -394,9 +392,9 @@ def _surrogate_cases(draw):
     x = data[:, :dx] + draw(st.sampled_from([0.0, 1e3]))
     min_shift, seed = draw(st.integers(1, 5)), draw(st.integers(0, 999))
     policy = SurrogatePolicy(method, min_shift=min_shift, seed=seed)
-    rep_ids = np.repeat(np.arange(n_reps), length)
-    batch = surrogate_batch(x, rep_ids, policy, draw(st.integers(1, 30)))
-    return batch, rep_ids, policy, data[:, dx : dx + dy], data[:, dx + dy :]
+    blocks = blocks_of([length] * n_reps)
+    batch = surrogate_batch(x, blocks, policy, draw(st.integers(1, 30)))
+    return batch, blocks, policy, data[:, dx : dx + dy], data[:, dx + dy :]
 
 
 class TestSurrogateBatch:
@@ -405,8 +403,8 @@ class TestSurrogateBatch:
     @settings(max_examples=60, deadline=None)
     @given(_surrogate_cases())
     def test_equals_general_batch(self, case):
-        batch, rep_ids, policy, y, z = case
-        index = surrogate_index_matrix(rep_ids, policy, batch.n_draws)
+        batch, blocks, policy, y, z = case
+        index = surrogate_index_matrix(blocks, policy, batch.n_draws)
         for i in range(len(batch)):
             assert np.array_equal(batch[i], batch.columns[index[i]])
         fast = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
@@ -418,10 +416,10 @@ class TestSurrogateBatch:
         mixing = np.eye(6) + np.triu(rng.normal(size=(6, 6)), k=1)
         data = rng.normal(size=(n_blocks * length, 6)) @ mixing
         x, y, z = data[:, :3], data[:, 3:4], data[:, 4:]
-        rep_ids = np.repeat(np.arange(n_blocks), length)
+        blocks = blocks_of([length] * n_blocks)
         policy = SurrogatePolicy(REPLICATION_SHUFFLE, seed=5)
-        batch = surrogate_batch(x, rep_ids, policy, 40)
-        index = surrogate_index_matrix(rep_ids, policy, 40)
+        batch = surrogate_batch(x, blocks, policy, 40)
+        index = surrogate_index_matrix(blocks, policy, 40)
         # Each draw moves whole blocks: block b reads block draws[i, b].
         assert np.array_equal(index.reshape(40, n_blocks, length)[:, :, 0] // length, batch.draws)
         for i in range(len(batch)):
@@ -431,8 +429,7 @@ class TestSurrogateBatch:
 
     def _batch(self, name):
         x, y, z, _ = _degenerate_case(name)
-        rep_ids = np.zeros(len(x), dtype=int)
-        return surrogate_batch(x, rep_ids, SurrogatePolicy(seed=3), 5), y, z
+        return surrogate_batch(x, blocks_of([len(x)]), SurrogatePolicy(seed=3), 5), y, z
 
     def test_constant_x_is_zero_on_both_paths(self):
         batch, y, z = self._batch("constant x")
@@ -457,8 +454,8 @@ class TestShiftedCrossChunks:
         n_reps, candidates, df = 2, 7, 4
         fixed = rng.normal(size=(n_reps * length, df))
         x = rng.normal(size=(len(fixed), candidates)) + fixed[:, :1]
-        rep_ids = np.repeat(np.arange(n_reps), length)
-        batch = surrogate_batch(x, rep_ids, SurrogatePolicy(seed=4), 20, width=1)
+        blocks = blocks_of([length] * n_reps)
+        batch = surrogate_batch(x, blocks, SurrogatePolicy(seed=4), 20, width=1)
         args = (x, fixed, batch.blocks, batch.draws)
         full = gaussian._shifted_cross(*args)
         whole = GaussianEstimator().cmi_surrogate_batch(batch, fixed[:, :1], fixed[:, 1:])
@@ -493,8 +490,8 @@ def _multi_candidate_cases(draw):
         x[:, constant * width : (constant + 1) * width] = 0.1
     min_shift, seed = draw(st.integers(1, 5)), draw(st.integers(0, 999))
     policy = SurrogatePolicy(method, min_shift=min_shift, seed=seed)
-    rep_ids = np.repeat(np.arange(n_reps), length)
-    batch = surrogate_batch(x, rep_ids, policy, draw(st.integers(1, 30)), width=width)
+    blocks = blocks_of([length] * n_reps)
+    batch = surrogate_batch(x, blocks, policy, draw(st.integers(1, 30)), width=width)
     return batch, fixed[:, :1], fixed[:, 1:], constant
 
 
@@ -561,8 +558,8 @@ class TestFactorize:
         counted = self._count_factorized(monkeypatch)
         estimator = GaussianEstimator()
         observed = estimator.candidates_cmi(columns, y, z)
-        rep_ids, policy = np.zeros(n, dtype=int), SurrogatePolicy(seed=6)
-        args = (columns, observed, y, z, rep_ids, estimator, policy, draws, 0.05)
+        blocks, policy = blocks_of([n]), SurrogatePolicy(seed=6)
+        args = (columns, observed, y, z, blocks, estimator, policy, draws, 0.05)
         result = max_statistic_test(*args)
         assert result.significant
         # The observed values and the surrogate null: one (z, y) block each.
@@ -577,8 +574,7 @@ class TestFactorize:
         y = 0.5 * s[:, np.newaxis] + rng.normal(size=(n, 1))
         counted = self._count_factorized(monkeypatch)
         policy = SurrogatePolicy(min_shift=2, seed=4)
-        rep_ids = np.zeros(n, dtype=int)
-        result = omnibus_test(x, y, None, rep_ids, GaussianEstimator(), policy, draws, 0.05)
+        result = omnibus_test(x, y, None, blocks_of([n]), GaussianEstimator(), policy, draws, 0.05)
         assert (result.statistic, result.p_value) == (0.0, 1.0)
         # The observed value takes the narrower y as its x, so the collinear
         # block is f and one factorization decides it; the null factorizes
@@ -597,7 +593,7 @@ def _replication_groups(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mixing = np.eye(d) + np.triu(rng.normal(scale=0.7, size=(d, d)), k=1)
     data = np.concatenate([rng.normal(size=(length, d)) @ mixing + offset for length in lengths])
-    blocks = replication_blocks(np.repeat(np.arange(n_blocks), lengths))
+    blocks = blocks_of(lengths)
     # At least two blocks of at least 8 rows keep every group above d + 2 rows.
     sizes = [draw(st.integers(2, n_blocks)) for _ in range(draw(st.integers(1, 5)))]
     groups = [rng.permutation(n_blocks)[:size] for size in sizes]
@@ -611,7 +607,7 @@ def _coupled_table(lengths, offset=0.0):
     z = rng.normal(size=(n, 2))
     x = rng.normal(size=(n, 2)) + 0.4 * z[:, :1]
     y = rng.normal(size=(n, 1)) + 0.6 * x[:, :1]
-    return x + offset, y, z, replication_blocks(np.repeat(np.arange(len(lengths)), lengths))
+    return x + offset, y, z, blocks_of(lengths)
 
 
 class TestGroupCmis:
@@ -631,7 +627,7 @@ class TestGroupCmis:
         lengths = [20, 35, 27]
         x, y, z, _ = _coupled_table(lengths, offset=1e3)
         x, y, z = (np.concatenate([a, a]) for a in (x, y, z))
-        blocks = replication_blocks(np.repeat(np.arange(6), lengths * 2))
+        blocks = blocks_of(lengths * 2)
         values = GaussianEstimator().group_cmis(x, y, z, blocks, [range(3), range(3, 6)])
         assert values[0] > 0.1
         assert values[0] - values[1] == 0.0

@@ -67,6 +67,28 @@ class TestSettings:
         with pytest.raises(InferenceError):
             InferenceSettings.from_dict({"modes": "typo"})
 
+    # Each permutation count with the level of the tests it runs: the
+    # sequential steps are max-statistic tests.
+    _COUNTS = [
+        ("n_perm_max", "alpha_max"),
+        ("n_perm_min", "alpha_min"),
+        ("n_perm_omnibus", "alpha_omnibus"),
+        ("n_perm_seq", "alpha_max"),
+    ]
+
+    @pytest.mark.parametrize("key, alpha", _COUNTS)
+    @pytest.mark.parametrize("n_perm", [0, 10, 19])
+    def test_count_that_cannot_reject_is_rejected_naming_the_key(self, key, alpha, n_perm):
+        with pytest.raises(InferenceError, match=f"^{key} at {alpha}: "):
+            InferenceSettings(**{key: n_perm})
+
+    @pytest.mark.parametrize("key, alpha", _COUNTS)
+    def test_count_is_checked_at_its_own_level(self, key, alpha):
+        InferenceSettings(**{key: 20})
+        InferenceSettings(**{key: 100, alpha: 0.01})  # p can reach 1/101 < 0.01
+        with pytest.raises(InferenceError, match=f"^{key} at {alpha}: 100 permutations"):
+            InferenceSettings(**{key: 100, alpha: 0.0099})
+
 
 class TestTargetPast:
     def test_ar_process_selects_lag_one(self):

@@ -4,8 +4,9 @@ Each entry point reads (x, y, z) as 2-D columns of finite floats sharing one
 row count. A NaN or infinite value raises ``InvalidValueError``, differing
 row counts ``EstimatorError`` naming both, and input of more than two
 dimensions ``DataError``: none of them may score 0 bits or fail inside numpy.
-Every reader of replication blocks raises ``StatsError`` naming blocks that
-do not tile the rows, and both ``group_cmis`` paths name a group whose block
+Every reader of replication blocks, the permutation tests among them, raises
+``StatsError`` naming blocks that do not tile the rows or are not integer
+(start, stop) pairs, and both ``group_cmis`` paths name a group whose block
 ids are not one or more integers in range, and give no values for no groups.
 """
 
@@ -28,19 +29,23 @@ from infonet import (
     gaussian_cmi,
     knn_cmi,
     knn_mi,
+    max_statistic_test,
+    min_statistic_test,
+    omnibus_test,
     plugin_cmi,
 )
 from infonet.estimators.base import CIRCULAR_SHIFT, SurrogateBatch
 from infonet.estimators.gaussian import gaussian_cmi_batch
+from infonet.stats import surrogate_index_matrix
 
-from conftest import surrogate_batch
+from conftest import blocks_of, surrogate_batch
 
 N = 120
 
 
 def _surrogates(estimator):
     def call(x, y, z):
-        batch = surrogate_batch(x, np.zeros(len(x), dtype=int), SurrogatePolicy(seed=2), 3)
+        batch = surrogate_batch(x, blocks_of([len(x)]), SurrogatePolicy(seed=2), 3)
         return estimator.cmi_surrogate_batch(batch, y, z)
 
     return call
@@ -131,6 +136,17 @@ def test_bad_input_raises_a_typed_error(entry, case):
         call(*data.values())
 
 
+def _test_reader(test):
+    """A permutation test on a valid (x, y, z) table, taking its blocks."""
+    policy = SurrogatePolicy(min_shift=2)
+
+    def call(x, y, z, blocks):
+        observed = (np.zeros(x.shape[1]),) if test is max_statistic_test else ()
+        return test(x, *observed, y, z, blocks, GaussianEstimator(), policy, 20, 0.05)
+
+    return call
+
+
 # Each reader of replication blocks, called on a valid (x, y, z) table.
 BLOCK_READERS = {
     "surrogate_batch": lambda x, y, z, blocks: SurrogateBatch(
@@ -138,6 +154,13 @@ BLOCK_READERS = {
     ),
     "group_cmis": lambda *args: GaussianEstimator().group_cmis(*args, [[0, 1], [1]]),
     "default_group_cmis": lambda *args: _default_group_cmis(*args, [[0, 1], [1]]),
+    "max_statistic_test": _test_reader(max_statistic_test),
+    "min_statistic_test": _test_reader(min_statistic_test),
+    "omnibus_test": _test_reader(omnibus_test),
+    # It reads no table: its blocks must tile rows 0..their last stop.
+    "surrogate_index_matrix": lambda x, y, z, blocks: surrogate_index_matrix(
+        blocks, SurrogatePolicy(), 3
+    ),
 }
 
 MALFORMED_BLOCKS = {
@@ -145,16 +168,61 @@ MALFORMED_BLOCKS = {
     "overlap": ((0, 60), (50, N)),
     "negative_start": ((-10, 60), (60, N)),
     "stop_past_n": ((0, 60), (60, N + 10)),
+    "empty_block": ((0, 60), (60, 60), (60, N)),
+    "no_blocks": (),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
-@pytest.mark.parametrize("reader", sorted(BLOCK_READERS))
+@pytest.mark.parametrize(
+    "reader, case",
+    [
+        (reader, case)
+        for reader in sorted(BLOCK_READERS)
+        for case in sorted(MALFORMED_BLOCKS)
+        # Without a table, a stop past n is the last stop.
+        if (reader, case) != ("surrogate_index_matrix", "stop_past_n")
+    ],
+)
 def test_blocks_that_do_not_tile_the_rows_raise_a_typed_error(reader, case):
     # Unchecked, a negative start would wrap in a row gather and a gap would skip rows.
     blocks = MALFORMED_BLOCKS[case]
-    with pytest.raises(StatsError, match=re.escape(f"blocks {blocks} do not tile rows 0..{N}")):
+    n = N
+    if reader == "surrogate_index_matrix":
+        n = blocks[-1][1] if blocks else 0
+    with pytest.raises(StatsError, match=re.escape(f"blocks {blocks} do not tile rows 0..{n}")):
         BLOCK_READERS[reader](*_data(False).values(), blocks)
+
+
+# Values that are not a sequence of integer (start, stop) pairs.
+NOT_BLOCKS = {
+    "replication_ids": np.zeros(N, dtype=int),
+    "float_bounds": ((0.0, 60.0), (60.0, float(N))),
+    "float_array": np.array([[0, 60], [60, N]], dtype=float),
+    "triples": ((0, 60, 1), (60, N, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_BLOCKS))
+@pytest.mark.parametrize("reader", sorted(BLOCK_READERS))
+def test_values_that_are_not_blocks_raise_a_typed_error(reader, case):
+    # An id array passed where blocks go must not fail inside the unpacking with a raw TypeError.
+    with pytest.raises(StatsError, match=re.escape("blocks must be integer (start, stop) pairs")):
+        BLOCK_READERS[reader](*_data(False).values(), NOT_BLOCKS[case])
+
+
+@pytest.mark.parametrize("reader", sorted(BLOCK_READERS))
+def test_an_integer_array_of_pairs_reads_as_blocks(reader):
+    blocks = np.array([[0, N // 2], [N // 2, N]])
+    expected = BLOCK_READERS[reader](*_data(False).values(), ((0, N // 2), (N // 2, N)))
+    got = BLOCK_READERS[reader](*_data(False).values(), blocks)
+    if reader == "surrogate_batch":
+        # Stored as checked: a tuple of pairs of Python ints.
+        assert got.blocks == ((0, N // 2), (N // 2, N))
+        assert {type(bound) for pair in got.blocks for bound in pair} == {int}
+    elif reader == "min_statistic_test":
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
 
 
 BAD_GROUPS = {

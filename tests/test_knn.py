@@ -19,7 +19,7 @@ from infonet.estimators.base import CIRCULAR_SHIFT, REPLICATION_SHUFFLE, Surroga
 from infonet.estimators.knn import _CHUNK_CELLS, _prefix_length
 from infonet.neighbors import _BLOCK_CELLS
 
-from conftest import surrogate_batch
+from conftest import blocks_of, surrogate_batch
 
 
 def _gauss_pair(rng, n, rho):
@@ -128,9 +128,9 @@ class TestAdapter:
         x, y = _gauss_pair(rng, 120, 0.5)
         columns = np.concatenate([x, rng.normal(size=(120, 2))], axis=1)
         est = KnnEstimator(KnnSettings(k=3, seed=9))
-        rep_ids, policy = np.zeros(len(x), dtype=int), SurrogatePolicy(seed=9)
+        blocks, policy = blocks_of([len(x)]), SurrogatePolicy(seed=9)
         for block in (x, columns):
-            batch = surrogate_batch(block, rep_ids, policy, 4, width=1)
+            batch = surrogate_batch(block, blocks, policy, 4, width=1)
             vals = est.cmi_surrogate_batch(batch, y, None)
             assert vals.shape == (block.shape[1] * 4,)
             assert vals.tolist() == [est.cmi_value(batch[i], y, None) for i in range(len(batch))]
@@ -195,10 +195,10 @@ def _shared_yz_cases(draw, loop: bool):
     ties = draw(st.booleans())
     if ties:
         data = np.round(data, 1)
-    rep_ids = np.repeat(np.arange(n_reps), length)
+    blocks = blocks_of([length] * n_reps)
     policy = SurrogatePolicy(method, min_shift=2, seed=draw(st.integers(0, 999)))
     batch = surrogate_batch(
-        data[:, : candidates * dx], rep_ids, policy, draw(st.integers(1, 3)), width=dx
+        data[:, : candidates * dx], blocks, policy, draw(st.integers(1, 3)), width=dx
     )
     noise = KnnSettings().noise_amplitude
     if not ties:
@@ -258,7 +258,7 @@ class TestSharedYZ:
 
 
 def _one_block_batch(x, n_perm):
-    return surrogate_batch(x, np.zeros(len(x), dtype=int), SurrogatePolicy(seed=1), n_perm)
+    return surrogate_batch(x, blocks_of([len(x)]), SurrogatePolicy(seed=1), n_perm)
 
 
 def _every_rotation(x, width=None):

@@ -1,5 +1,6 @@
 """Surrogates, permutation tests and FDR: conventions and null behavior."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,12 +28,11 @@ from infonet.stats import (
     REPLICATION_SHUFFLE,
     check_permutation_count,
     permutation_pvalue,
-    replication_blocks,
     surrogate_index_matrix,
     surrogate_indices,
 )
 
-from conftest import surrogate_batch
+from conftest import blocks_of, surrogate_batch
 
 
 def _policy(method=CIRCULAR_SHIFT, min_shift=1, seed=0):
@@ -45,7 +45,7 @@ class TestSurrogates:
 
     def test_rotation_definition(self):
         column = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        matrix = surrogate_index_matrix(np.zeros(5, dtype=int), _policy(min_shift=1, seed=3), 50)
+        matrix = surrogate_index_matrix(blocks_of([5]), _policy(min_shift=1, seed=3), 50)
         seen = {tuple(column[row]) for row in matrix}
         # every outcome is a rotation with offset in [1, 4]
         rotations = {tuple(np.roll(column, k)) for k in range(1, 5)}
@@ -57,14 +57,13 @@ class TestSurrogates:
     def test_multiset_preserved(self):
         rng = np.random.default_rng(70)
         column = rng.normal(size=40)
-        rep_ids = np.repeat([0, 1], 20)
-        for row in surrogate_index_matrix(rep_ids, _policy(min_shift=2, seed=1), 20):
+        for row in surrogate_index_matrix(blocks_of([20, 20]), _policy(min_shift=2, seed=1), 20):
             out = column[row]
             assert np.array_equal(np.sort(out[:20]), np.sort(column[:20]))
             assert np.array_equal(np.sort(out[20:]), np.sort(column[20:]))
 
     def test_deterministic_per_draw(self):
-        blocks = replication_blocks(np.zeros(30, dtype=int))
+        blocks = blocks_of([30])
         a = surrogate_indices(blocks, _policy(seed=5), 9)
         assert np.array_equal(a, surrogate_indices(blocks, _policy(seed=5), 9))
         # Draw 7 is the same row however many draws the test asks for.
@@ -73,25 +72,25 @@ class TestSurrogates:
         assert not np.array_equal(a, surrogate_indices(blocks, _policy(seed=6), 9))
 
     def test_min_shift_honored(self):
-        rep_ids, policy = np.zeros(10, dtype=int), _policy(min_shift=3, seed=2)
-        draws = surrogate_indices(replication_blocks(rep_ids), policy, 30)
-        for (rotation,), row in zip(draws, surrogate_index_matrix(rep_ids, policy, 30)):
+        blocks, policy = blocks_of([10]), _policy(min_shift=3, seed=2)
+        draws = surrogate_indices(blocks, policy, 30)
+        for (rotation,), row in zip(draws, surrogate_index_matrix(blocks, policy, 30)):
             assert 3 <= rotation <= 7
             assert np.flatnonzero(row == 0).tolist() == [rotation]
         assert set(draws[:, 0].tolist()) == {3, 4, 5, 6, 7}
 
     def test_too_short_for_shift(self):
-        blocks = replication_blocks(np.zeros(5, dtype=int))
+        blocks = blocks_of([5])
         with pytest.raises(InsufficientSamplesError):
             surrogate_indices(blocks, _policy(min_shift=3), 1)
 
     def test_replication_shuffle_permutes_blocks(self):
         column = np.concatenate([np.zeros(5), np.ones(5), np.full(5, 2.0)])
-        rep_ids = np.repeat([0, 1, 2], 5)
+        blocks = blocks_of([5, 5, 5])
         policy = _policy(method=REPLICATION_SHUFFLE, seed=4)
-        draws = surrogate_indices(replication_blocks(rep_ids), policy, 30)
+        draws = surrogate_indices(blocks, policy, 30)
         seen = set()
-        for order, row in zip(draws, surrogate_index_matrix(rep_ids, policy, 30)):
+        for order, row in zip(draws, surrogate_index_matrix(blocks, policy, 30)):
             out = column[row]
             firsts = tuple(out[i * 5] for i in range(3))
             assert sorted(firsts) == [0.0, 1.0, 2.0]
@@ -103,7 +102,7 @@ class TestSurrogates:
     def test_random_stream_is_pinned(self):
         # Hard-coded draws 0-3 at seed 11: any change to the random stream,
         # which every published p-value depends on, fails here.
-        rep_ids = np.repeat([0, 1, 2], 12)
+        blocks = blocks_of([12, 12, 12])
         draws = {
             CIRCULAR_SHIFT: [[3, 3, 9], [6, 7, 7], [8, 2, 6], [3, 5, 10]],
             REPLICATION_SHUFFLE: [[1, 0, 2], [1, 0, 2], [0, 1, 2], [2, 1, 0]],
@@ -125,12 +124,12 @@ class TestSurrogates:
         }
         for method, vectors in rows.items():
             policy = _policy(method=method, min_shift=2, seed=11)
-            drawn = surrogate_indices(replication_blocks(rep_ids), policy, 4)
+            drawn = surrogate_indices(blocks, policy, 4)
             assert drawn.tolist() == draws[method]
-            assert np.array_equal(surrogate_index_matrix(rep_ids, policy, 4), np.stack(vectors))
+            assert np.array_equal(surrogate_index_matrix(blocks, policy, 4), np.stack(vectors))
 
     def test_replication_shuffle_needs_replications(self):
-        blocks = replication_blocks(np.zeros(10, dtype=int))
+        blocks = blocks_of([10])
         with pytest.raises(InsufficientReplicationsError):
             surrogate_indices(blocks, _policy(method=REPLICATION_SHUFFLE), 1)
 
@@ -142,7 +141,7 @@ def _block_layouts(draw):
     lengths = draw(st.lists(st.integers(2 * min_shift, 40), min_size=1, max_size=5))
     if draw(st.booleans()):
         lengths = [lengths[0]] * len(lengths)
-    return replication_blocks(np.repeat(np.arange(len(lengths)), lengths)), min_shift
+    return blocks_of(lengths), min_shift
 
 
 def _is_rotation(row, blocks, min_shift, rotations):
@@ -212,7 +211,7 @@ class TestDrawBuilderProperties:
         lengths = [stop - start for start, stop in blocks]
         short = data.draw(st.integers(0, len(blocks) - 1))
         lengths[short] = data.draw(st.integers(1, 2 * min_shift - 1))
-        blocks = replication_blocks(np.repeat(np.arange(len(lengths)), lengths))
+        blocks = blocks_of(lengths)
         drawn = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stats, "rng_for", lambda *path: drawn.append(path))
@@ -223,7 +222,7 @@ class TestDrawBuilderProperties:
     @_DRAW_SETTINGS
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=5), st.integers(1, 30))
     def test_shuffle_layout_errors_are_typed(self, lengths, n_perm):
-        blocks = replication_blocks(np.repeat(np.arange(len(lengths)), lengths))
+        blocks = blocks_of(lengths)
         policy = _policy(REPLICATION_SHUFFLE)
         if len(lengths) == 1:
             with pytest.raises(InsufficientReplicationsError):
@@ -240,10 +239,10 @@ class TestIndexMatrixMemory:
 
     @pytest.mark.parametrize("method", [CIRCULAR_SHIFT, REPLICATION_SHUFFLE])
     def test_peak_is_one_matrix(self, method):
-        rep_ids = np.repeat(np.arange(4), 2500)
+        blocks = blocks_of([2500] * 4)
         tracemalloc.start()
         try:
-            matrix = surrogate_index_matrix(rep_ids, _policy(method, seed=3), 200)
+            matrix = surrogate_index_matrix(blocks, _policy(method, seed=3), 200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -261,11 +260,11 @@ class TestSurrogateMemory:
         columns = rng.normal(size=(n, 5))
         y, z = rng.normal(size=(n, 1)), rng.normal(size=(n, 2))
         observed = GaussianEstimator().candidates_cmi(columns, y, z)
-        rep_ids = np.repeat(np.arange(4), n // 4)
+        blocks = blocks_of([n // 4] * 4)
         tracemalloc.start()
         try:
             result = max_statistic_test(
-                columns, observed, y, z, rep_ids, GaussianEstimator(),
+                columns, observed, y, z, blocks, GaussianEstimator(),
                 _policy(method, seed=3), n_perm, 0.05,
             )
             peak = tracemalloc.get_traced_memory()[1]
@@ -307,15 +306,15 @@ def _coupled_context(rng, n=600, coupled=True):
     noise = rng.normal(size=(n, 3))
     columns = np.column_stack([x, noise])
     observed = GaussianEstimator().candidates_cmi(columns, y[:, None], None)
-    return columns, observed, y[:, None], np.zeros(n, dtype=int)
+    return columns, observed, y[:, None], blocks_of([n])
 
 
 class TestMaxStatistic:
     def test_strong_source_detected(self):
         rng = np.random.default_rng(72)
-        columns, observed, y, rep_ids = _coupled_context(rng)
+        columns, observed, y, blocks = _coupled_context(rng)
         result = max_statistic_test(
-            columns, observed, y, None, rep_ids, GaussianEstimator(),
+            columns, observed, y, None, blocks, GaussianEstimator(),
             _policy(min_shift=2, seed=10), 200, 0.05,
         )
         assert result.p_value == pytest.approx(1 / 201)
@@ -325,9 +324,9 @@ class TestMaxStatistic:
         rejections = 0
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
-            columns, observed, y, rep_ids = _coupled_context(rng, n=300, coupled=False)
+            columns, observed, y, blocks = _coupled_context(rng, n=300, coupled=False)
             result = max_statistic_test(
-                columns, observed, y, None, rep_ids, GaussianEstimator(),
+                columns, observed, y, None, blocks, GaussianEstimator(),
                 _policy(min_shift=2, seed=seed), 100, 0.05,
             )
             rejections += result.significant
@@ -335,19 +334,19 @@ class TestMaxStatistic:
 
     def test_insufficient_permutations(self):
         rng = np.random.default_rng(73)
-        columns, observed, y, rep_ids = _coupled_context(rng, n=100)
+        columns, observed, y, blocks = _coupled_context(rng, n=100)
         with pytest.raises(InsufficientPermutationsError):
             max_statistic_test(
-                columns, observed, y, None, rep_ids, GaussianEstimator(),
+                columns, observed, y, None, blocks, GaussianEstimator(),
                 _policy(min_shift=2), 10, 0.05,
             )
 
 
-def _per_column_max_test(columns, observed, y, z, rep_ids, estimator, policy, n_perm, alpha):
+def _per_column_max_test(columns, observed, y, z, blocks, estimator, policy, n_perm, alpha):
     """The max test as one surrogate batch per candidate column, maxima taken in turn."""
     null_max = np.full(n_perm, -np.inf)
     for j in range(columns.shape[1]):
-        batch = surrogate_batch(columns[:, j : j + 1], rep_ids, policy, n_perm)
+        batch = surrogate_batch(columns[:, j : j + 1], blocks, policy, n_perm)
         np.maximum(null_max, estimator.cmi_surrogate_batch(batch, y, z), out=null_max)
     statistic = float(np.max(observed))
     return statistic, permutation_pvalue(statistic, null_max)
@@ -372,10 +371,10 @@ class TestMaxStatisticOneCall:
             columns = rng.normal(size=(n, 4))
             z = rng.normal(size=(n, 1))
             y = 0.3 * columns[:, :1] + 0.5 * z + rng.normal(size=(n, 1))
-        rep_ids = np.repeat(np.arange(n_reps), length)
+        blocks = blocks_of([length] * n_reps)
         observed = estimator.candidates_cmi(columns, y, z)
         policy = _policy(method=method, min_shift=2, seed=15)
-        args = (columns, observed, y, z, rep_ids, estimator, policy, 60, 0.05)
+        args = (columns, observed, y, z, blocks, estimator, policy, 60, 0.05)
         result = max_statistic_test(*args)
         statistic, p = _per_column_max_test(*args)
         assert result.statistic == statistic
@@ -383,28 +382,29 @@ class TestMaxStatisticOneCall:
 
 
 _TESTS = {
-    "max": lambda cols, y, z, reps: max_statistic_test(
-        cols, np.zeros(1 if np.ndim(cols) == 1 else cols.shape[1]), y, z, reps, GaussianEstimator(),
-        _policy(min_shift=2), 50, 0.05,
+    "max": lambda cols, y, z, blocks: max_statistic_test(
+        cols, np.zeros(1 if np.ndim(cols) == 1 else cols.shape[1]), y, z, blocks,
+        GaussianEstimator(), _policy(min_shift=2), 50, 0.05,
     ),
-    "min": lambda cols, y, z, reps: min_statistic_test(
-        cols, y, z, reps, GaussianEstimator(), _policy(min_shift=2), 50, 0.05
+    "min": lambda cols, y, z, blocks: min_statistic_test(
+        cols, y, z, blocks, GaussianEstimator(), _policy(min_shift=2), 50, 0.05
     ),
-    "omnibus": lambda cols, y, z, reps: omnibus_test(
-        cols, y, z, reps, GaussianEstimator(), _policy(min_shift=2), 50, 0.05
+    "omnibus": lambda cols, y, z, blocks: omnibus_test(
+        cols, y, z, blocks, GaussianEstimator(), _policy(min_shift=2), 50, 0.05
     ),
 }
 
 
 class TestArgumentChecks:
     @pytest.mark.parametrize("test", sorted(_TESTS))
-    @pytest.mark.parametrize("rep_rows", [200, 400])
-    def test_rep_ids_of_the_wrong_length_rejected(self, test, rep_rows):
+    @pytest.mark.parametrize("rows", [200, 400])
+    def test_blocks_of_the_wrong_length_rejected(self, test, rows):
         rng = np.random.default_rng(79)
         columns = rng.normal(size=(300, 2))
         y = columns[:, :1] + rng.normal(size=(300, 1))
-        with pytest.raises(StatsError, match=f"rep_ids has {rep_rows} rows, the columns have 300"):
-            _TESTS[test](columns, y, None, np.zeros(rep_rows, dtype=int))
+        blocks = blocks_of([rows // 2] * 2)
+        with pytest.raises(StatsError, match=re.escape(f"blocks {blocks} do not tile rows 0..300")):
+            _TESTS[test](columns, y, None, blocks)
 
     @pytest.mark.parametrize("test", sorted(_TESTS))
     @pytest.mark.parametrize("name", ["y", "z"])
@@ -414,16 +414,15 @@ class TestArgumentChecks:
         args = {"y": rng.normal(size=(300, 1)), "z": rng.normal(size=(300, 1))}
         args[name] = args[name][:250]
         with pytest.raises(StatsError, match=f"{name} has 250 rows, the columns have 300"):
-            _TESTS[test](columns, args["y"], args["z"], np.zeros(300, dtype=int))
+            _TESTS[test](columns, args["y"], args["z"], blocks_of([300]))
 
     @pytest.mark.parametrize("test", ["max", "min"])
     def test_one_dimensional_column_is_one_candidate(self, test):
         rng = np.random.default_rng(81)
         x = rng.normal(size=300)
         y = 0.8 * x[:, None] + rng.normal(size=(300, 1))
-        rep_ids = np.zeros(300, dtype=int)
-        result = _TESTS[test](x, y, None, rep_ids)
-        expected = _TESTS[test](x[:, None], y, None, rep_ids)
+        result = _TESTS[test](x, y, None, blocks_of([300]))
+        expected = _TESTS[test](x[:, None], y, None, blocks_of([300]))
         assert result == expected
 
     @pytest.mark.parametrize("estimator", [GaussianEstimator(), KnnEstimator()])
@@ -442,13 +441,13 @@ class TestArgumentChecks:
         y = columns[:, :1] + rng.normal(size=(300, 1))
         columns[7, 1] = value
         with pytest.raises(InvalidValueError, match="1 NaN or infinite"):
-            _TESTS[test](columns, y, None, np.zeros(300, dtype=int))
+            _TESTS[test](columns, y, None, blocks_of([300]))
 
     def test_one_dimensional_column_needs_one_observed_value(self):
         x = np.random.default_rng(82).normal(size=300)
         with pytest.raises(StatsError, match="one observed CMI per candidate"):
             max_statistic_test(
-                x, np.zeros(2), x[:, None], None, np.zeros(300, dtype=int),
+                x, np.zeros(2), x[:, None], None, blocks_of([300]),
                 GaussianEstimator(), _policy(min_shift=2), 50, 0.05,
             )
 
@@ -460,7 +459,7 @@ class TestMinStatistic:
         x = rng.normal(size=(n, 1))
         y = 0.8 * x + rng.normal(size=(n, 1))
         outcome = min_statistic_test(
-            x, y, None, np.zeros(n, dtype=int), GaussianEstimator(),
+            x, y, None, blocks_of([n]), GaussianEstimator(),
             _policy(min_shift=2, seed=11), 200, 0.05,
         )
         assert outcome.weakest == 0
@@ -470,7 +469,7 @@ class TestMinStatistic:
         x = np.array([0, 1] * 20)[:, None].astype(float)
         y = np.zeros((40, 1))
         outcome = min_statistic_test(
-            x, y, None, np.zeros(40, dtype=int), DiscreteEstimator(2),
+            x, y, None, blocks_of([40]), DiscreteEstimator(2),
             _policy(min_shift=2, seed=12), 100, 0.05,
         )
         assert outcome.result.p_value == 1.0
@@ -483,7 +482,7 @@ class TestMinStatistic:
         noise = rng.normal(size=(n, 2))
         columns = np.column_stack([copy, noise])
         outcome = min_statistic_test(
-            columns, y, None, np.zeros(n, dtype=int), GaussianEstimator(),
+            columns, y, None, blocks_of([n]), GaussianEstimator(),
             _policy(min_shift=2, seed=13), 200, 0.05,
         )
         # the weakest is one of the noise columns, and the copy's observed
@@ -508,10 +507,10 @@ class TestMinStatistic:
         columns, base = rng.normal(size=(200, 3)), rng.normal(size=(200, 1))
         y = columns.sum(axis=1, keepdims=True) + rng.normal(size=(200, 1))
         outcome = min_statistic_test(
-            columns, y, base, np.zeros(200, dtype=int), Recording(), _policy(seed=14), 30, 0.05
+            columns, y, base, blocks_of([200]), Recording(), _policy(seed=14), 30, 0.05
         )
         assert outcome == min_statistic_test(
-            columns, y, base, np.zeros(200, dtype=int), GaussianEstimator(),
+            columns, y, base, blocks_of([200]), GaussianEstimator(),
             _policy(seed=14), 30, 0.05,
         )
         assert [kind for kind, _ in seen] == ["observed"] * 3 + ["null"] * 3
@@ -524,11 +523,42 @@ class TestMinStatistic:
 class TestOmnibus:
     def test_empty_source_set_vacuous(self):
         result = omnibus_test(
-            np.empty((100, 0)), np.zeros((100, 1)), None, np.zeros(100, dtype=int),
+            np.empty((100, 0)), np.zeros((100, 1)), None, blocks_of([100]),
             GaussianEstimator(), _policy(), 500, 0.05,
         )
         assert result.p_value == 1.0
         assert not result.significant
+
+    @pytest.mark.parametrize(
+        "case, error, pattern",
+        [
+            ({"n_perm": 0}, InsufficientPermutationsError, "must be >= 1"),
+            ({"n_perm": 10}, InsufficientPermutationsError, "cannot reject"),
+            ({"y": np.zeros((90, 1))}, StatsError, "y has 90 rows, the columns have 100"),
+            ({"z": np.zeros((90, 2))}, StatsError, "z has 90 rows, the columns have 100"),
+            ({"blocks": blocks_of([50, 40])}, StatsError, "do not tile rows 0..100"),
+            ({"blocks": np.zeros(100, dtype=int)}, StatsError, "blocks must be integer"),
+        ],
+    )
+    def test_empty_source_set_checks_its_arguments(self, case, error, pattern):
+        # The empty set's p = 1 shortcut comes only after every argument check.
+        args = {"y": np.zeros((100, 1)), "z": None, "blocks": blocks_of([100]), "n_perm": 500}
+        args.update(case)
+        with pytest.raises(error, match=pattern):
+            omnibus_test(
+                np.empty((100, 0)), args["y"], args["z"], args["blocks"],
+                GaussianEstimator(), _policy(), args["n_perm"], 0.05,
+            )
+
+    def test_empty_source_set_draws_no_surrogates(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(stats, "rng_for", lambda *path: drawn.append(path))
+        result = omnibus_test(
+            np.empty((100, 0)), np.zeros((100, 1)), np.zeros((100, 2)), blocks_of([60, 40]),
+            GaussianEstimator(), _policy(min_shift=45), 500, 0.05,
+        )
+        assert (result.statistic, result.p_value, result.n_permutations) == (0.0, 1.0, 500)
+        assert drawn == []
 
     def test_coupled_pair_maximally_significant(self):
         rng = np.random.default_rng(76)
@@ -536,7 +566,7 @@ class TestOmnibus:
         x = rng.normal(size=(n, 1))
         y = 0.8 * x + rng.normal(size=(n, 1))
         result = omnibus_test(
-            x, y, None, np.zeros(n, dtype=int), GaussianEstimator(),
+            x, y, None, blocks_of([n]), GaussianEstimator(),
             _policy(min_shift=2, seed=14), 500, 0.05,
         )
         assert result.p_value == pytest.approx(1 / 501)
@@ -550,7 +580,7 @@ class TestOmnibus:
             x = rng.normal(size=(n, 1))
             y = rng.normal(size=(n, 1))
             result = omnibus_test(
-                x, y, None, np.zeros(n, dtype=int), GaussianEstimator(),
+                x, y, None, blocks_of([n]), GaussianEstimator(),
                 _policy(min_shift=2, seed=seed), 100, 0.05,
             )
             rejections += result.significant
@@ -620,9 +650,9 @@ def _surrogate_cases(draw):
     else:
         data = rng.normal(size=(n, total + 1 + dz))
         data[:, total] += data[:, 0]
-    rep_ids = np.repeat(np.arange(n_reps), length)
+    blocks = blocks_of([length] * n_reps)
     policy = SurrogatePolicy(method, min_shift=2, seed=draw(st.integers(0, 999)))
-    batch = surrogate_batch(data[:, :total], rep_ids, policy, draw(st.integers(1, 6)), width=dx)
+    batch = surrogate_batch(data[:, :total], blocks, policy, draw(st.integers(1, 6)), width=dx)
     return batch, data[:, total : total + 1], data[:, total + 1 :], discrete
 
 
@@ -724,7 +754,7 @@ class TestDefaultSurrogateBatch:
         candidates, draws = 4, 5
         columns = rng.integers(0, 2, size=(n, candidates)).astype(np.float64)
         y = rng.integers(0, 2, size=(n, 1)).astype(np.float64)
-        batch = surrogate_batch(columns, np.zeros(n, dtype=int), _policy(seed=3), draws, width=1)
+        batch = surrogate_batch(columns, blocks_of([n]), _policy(seed=3), draws, width=1)
         expected = [estimator.cmi_value(batch[i], y, None) for i in range(len(batch))]
         calls = []
         gather = base.gather_indices
