@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -27,11 +28,12 @@ from pathlib import Path
 from .ais import ais_estimate
 from .compare import compare_networks, union_link_structures
 from .data import load_csv, save_csv
-from .errors import ConfigError, InferenceError, InfonetError
+from .errors import ConfigError, InferenceError, InfonetError, InsufficientPermutationsError
 from .export import canonical_json, network_from_json, network_to_json, to_csv_adjacency, to_dot
 from .generate import GroundTruthSpec, generate_dataset, ground_truth_links
 from .inference import InferenceSettings, infer_network, prepare_dataset
 from .pid import pid_from_data
+from .stats import check_permutation_count
 
 # The JSON types a value of each Python type may take: a bool is no number.
 _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
@@ -46,7 +48,7 @@ _KEYS = {
     "pid": {"input": _PATHS, "alphabet_sizes": list[int] | None, "output": str},
     "compare": {
         "input_a": _PATHS, "input_b": _PATHS, **_DATA, "networks": list[str], "output": str,
-        "n_perm": int, "alpha": float, "alpha_fdr": float, **_SETTINGS,
+        "n_perm": int, **_SETTINGS,
     },
 }
 
@@ -172,6 +174,8 @@ def _cmd_generate(cfg: dict) -> int:
 def _cmd_infer(cfg: dict) -> int:
     _require(cfg, "infer", "input")
     settings = _settings(cfg)
+    if cfg.get("threads", 1) < 1:
+        raise ConfigError(f"config key 'threads' must be >= 1, got {cfg['threads']}")
     dataset = _dataset(cfg, "input", settings)
     _log(
         f"inferring {settings.mode} network over {dataset.n_processes} processes "
@@ -222,11 +226,15 @@ def _cmd_pid(cfg: dict) -> int:
 def _cmd_compare(cfg: dict) -> int:
     _require(cfg, "compare", "input_a", "input_b", "networks")
     settings = _settings(cfg)
+    n_perm = cfg.get("n_perm", inspect.signature(compare_networks).parameters["n_perm"].default)
+    try:
+        check_permutation_count(n_perm, settings.alpha_fdr)
+    except InsufficientPermutationsError as err:
+        raise ConfigError(f"config key 'n_perm' at alpha_fdr: {err}")
     data_a = _dataset(cfg, "input_a", settings)
     data_b = _dataset(cfg, "input_b", settings)
     links = union_link_structures(*map(_network, cfg["networks"]))
-    options = _given(cfg, ["n_perm", "alpha", "alpha_fdr"])
-    result = compare_networks(data_a, data_b, links, settings, seed=settings.seed, **options)
+    result = compare_networks(data_a, data_b, links, settings, **_given(cfg, ["n_perm"]))
     payload = {
         "n_permutations": result.n_permutations,
         "alpha": result.alpha,

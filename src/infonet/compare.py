@@ -13,11 +13,15 @@ The observed split and every exchange are groups of block ids, all
 evaluated by one ``Estimator.group_cmis`` call: the Gaussian estimator from
 per-block moments in one batched kernel call, the others by gathering each
 group's rows block by block in order.
+
+The analysis reads its estimator, FDR level and default seed from the one
+``InferenceSettings`` it is given: links are flagged by Benjamini-Hochberg
+at ``alpha_fdr``, and ``ComparisonResult.alpha`` reports that level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +64,8 @@ class LinkComparison:
 
 @dataclass(frozen=True)
 class ComparisonResult:
+    """Every compared link, in (target, source) order; ``alpha`` is the FDR level."""
+
     links: tuple[LinkComparison, ...]
     n_permutations: int
     alpha: float
@@ -114,11 +120,14 @@ def compare_networks(
     links: list[LinkStructure],
     settings: InferenceSettings,
     n_perm: int = 500,
-    alpha: float = 0.05,
-    alpha_fdr: float = 0.05,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> ComparisonResult:
-    """Permutation test of per-link information differences between conditions."""
+    """Permutation test of per-link information differences between conditions.
+
+    Links are flagged by Benjamini-Hochberg at ``settings.alpha_fdr``, the
+    level ``n_perm`` must be able to reach. Exchanges are drawn from ``seed``,
+    by default ``settings.seed``.
+    """
     if not links:
         raise EmptyLinkSetError("no links to compare")
     if data_a.n_processes != data_b.n_processes:
@@ -133,13 +142,14 @@ def compare_networks(
         raise InsufficientReplicationsError(
             "replication exchange requires at least 2 replications per condition"
         )
-    check_permutation_count(n_perm, alpha)
+    check_permutation_count(n_perm, settings.alpha_fdr)
+    seed = settings.seed if seed is None else seed
     data_a = prepare_dataset(data_a, settings)
     data_b = prepare_dataset(data_b, settings)
 
     r_a, r_b = data_a.n_replications, data_b.n_replications
     total = r_a + r_b
-    comparisons: list[tuple[int, int, float, float, float, float]] = []
+    comparisons: list[LinkComparison] = []
     for link_no, structure in enumerate(sorted(links, key=lambda l: (l.target, l.source))):
         variables = structure.source_vars + structure.conditioning
         max_lag = max(v.lag for v in variables)
@@ -156,22 +166,18 @@ def compare_networks(
         values = estimator.group_cmis(x, y, z, blocks, groups)
         stat_a, stat_b = float(values[0]), float(values[1])
         delta = stat_a - stat_b
-        p = permutation_pvalue(abs(delta), np.abs(values[2::2] - values[3::2]))
         comparisons.append(
-            (structure.source, structure.target, stat_a, stat_b, delta, p)
+            LinkComparison(
+                source=structure.source,
+                target=structure.target,
+                statistic_a=stat_a,
+                statistic_b=stat_b,
+                delta_bits=delta,
+                p_value=permutation_pvalue(abs(delta), np.abs(values[2::2] - values[3::2])),
+                fdr_significant=False,
+            )
         )
 
-    mask = fdr_correct([c[5] for c in comparisons], alpha=alpha_fdr)
-    out = tuple(
-        LinkComparison(
-            source=s,
-            target=t,
-            statistic_a=sa,
-            statistic_b=sb,
-            delta_bits=d,
-            p_value=p,
-            fdr_significant=bool(flag),
-        )
-        for (s, t, sa, sb, d, p), flag in zip(comparisons, mask)
-    )
-    return ComparisonResult(links=out, n_permutations=n_perm, alpha=alpha)
+    mask = fdr_correct([c.p_value for c in comparisons], alpha=settings.alpha_fdr)
+    out = tuple(replace(c, fdr_significant=bool(flag)) for c, flag in zip(comparisons, mask))
+    return ComparisonResult(links=out, n_permutations=n_perm, alpha=settings.alpha_fdr)

@@ -102,10 +102,6 @@ class Dataset:
     def n_replications(self) -> int:
         return self.values.shape[2]
 
-    def series(self, process: int, replication: int) -> np.ndarray:
-        """One (process, replication) sample vector, read-only view."""
-        return self.values[process, :, replication]
-
 
 def normalize(dataset: Dataset) -> Dataset:
     """Z-score every (process, replication) series; idempotent.
@@ -216,11 +212,13 @@ def _parse_csv_file(path: Path) -> tuple[list[str] | None, np.ndarray]:
                 rows.append([cell.strip() for cell in row])
     if not rows:
         raise DataError(f"empty file: {path}")
+    # The first row is a header when a cell of it is no float; a non-finite
+    # number is data, and is rejected below as in any other row.
     header: list[str] | None = None
-    first = rows[0]
-    if not all(_is_number(cell) for cell in first):
-        header = first
-        rows = rows[1:]
+    try:
+        list(map(float, rows[0]))
+    except ValueError:
+        header, rows = rows[0], rows[1:]
         if not rows:
             raise DataError(f"file contains only a header: {path}")
     width = len(rows[0])
@@ -237,14 +235,6 @@ def _parse_csv_file(path: Path) -> tuple[list[str] | None, np.ndarray]:
                 raise InvalidValueError(f"non-finite value {cell!r} at row {i + 1} of {path}")
             data[i, j] = value
     return header, data
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return np.isfinite(float(cell))
 
 
 def load_csv(

@@ -181,20 +181,13 @@ class SurrogateBatch:
     def __len__(self) -> int:
         return self.n_candidates * self.n_draws
 
-    def __getitem__(self, i: int) -> np.ndarray:
-        candidate, draw = divmod(i, self.n_draws)
-        first = candidate * self.width
-        rows = gather_indices(self.draws[draw : draw + 1], self.blocks, self.method)[0]
-        return self.columns[rows, first : first + self.width]
-
 
 def members(xs: SurrogateBatch):
     """(index, member) for every member of a :class:`SurrogateBatch`.
 
     The batch is read draw by draw: each draw's rows are gathered once, for
     all candidates' columns, and every candidate's member is sliced from
-    them, where indexing would gather them again for each candidate. Any
-    other argument raises ``EstimatorError``.
+    them. Any other argument raises ``EstimatorError``.
     """
     if not isinstance(xs, SurrogateBatch):
         raise EstimatorError(f"members come from a SurrogateBatch, not {type(xs).__name__}")

@@ -479,13 +479,21 @@ def infer_target(dataset: Dataset, target: int, settings: InferenceSettings) -> 
     )
 
 
-def _links_from_target(result: TargetResult) -> list[tuple[int, int, float, int, float]]:
+def _links_from_target(result: TargetResult) -> list[Link]:
+    """One link per selected source process, flagged later by the network's FDR step."""
     links = []
     for p in sorted(result.per_source_delay):
         own = [s for s in result.selected_sources if s.variable.process == p]
-        weight = float(sum(s.cmi_bits for s in own))
-        p_value = float(min(s.p_value for s in own))
-        links.append((p, result.target, weight, result.per_source_delay[p], p_value))
+        links.append(
+            Link(
+                source=p,
+                target=result.target,
+                weight_bits=float(sum(s.cmi_bits for s in own)),
+                delay=result.per_source_delay[p],
+                p_value=float(min(s.p_value for s in own)),
+                fdr_significant=False,
+            )
+        )
     return links
 
 
@@ -494,9 +502,12 @@ def infer_network(
 ) -> NetworkResult:
     """Run every target and assemble the FDR-corrected link structure.
 
-    A failing target stops the run with its error's type and a ``target {t}: ``
-    message prefix; with several failing targets, the first in target order.
+    ``threads`` below 1 raises ``InferenceError``. A failing target stops the
+    run with its error's type and a ``target {t}: `` message prefix; with
+    several failing targets, the first in target order.
     """
+    if threads < 1:
+        raise InferenceError(f"threads must be >= 1, got {threads}")
     dataset = prepare_dataset(dataset, settings)
     targets = list(range(dataset.n_processes))
     if dataset.n_processes > 1 or settings.is_te_mode:
@@ -516,30 +527,19 @@ def infer_network(
     else:
         results = [run(t) for t in targets]
 
-    raw_links: list[tuple[int, int, float, int, float]] = []
-    for res in results:
-        raw_links.extend(_links_from_target(res))
-    raw_links.sort(key=lambda l: (l[1], l[0]))
-
-    n_processes = dataset.n_processes
-    n_tested = n_processes * (n_processes - 1)
-    mask = fdr_correct(
-        [l[4] for l in raw_links], alpha=settings.alpha_fdr, m=max(n_tested, len(raw_links))
+    # A target yields at most one link per other process, so every link is one
+    # of the n_tested candidates.
+    raw_links = sorted(
+        (link for res in results for link in _links_from_target(res)),
+        key=lambda l: (l.target, l.source),
     )
-    links = tuple(
-        Link(
-            source=s,
-            target=t,
-            weight_bits=w,
-            delay=d,
-            p_value=p,
-            fdr_significant=bool(flag),
-        )
-        for (s, t, w, d, p), flag in zip(raw_links, mask)
-    )
+    n_tested = dataset.n_processes * (dataset.n_processes - 1)
+    mask = fdr_correct([l.p_value for l in raw_links], alpha=settings.alpha_fdr, m=n_tested)
     return NetworkResult(
         targets=tuple(results),
-        links=links,
+        links=tuple(
+            dataclasses.replace(l, fdr_significant=bool(flag)) for l, flag in zip(raw_links, mask)
+        ),
         n_links_tested=n_tested,
         settings=settings,
     )

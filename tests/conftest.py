@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from infonet.estimators.base import SurrogateBatch
+from infonet.estimators.base import SurrogateBatch, gather_indices
 from infonet.stats import surrogate_indices
 
 _CRITERION_LINES: list[tuple[int, str]] = []
@@ -35,3 +35,18 @@ def surrogate_batch(x, blocks, policy, n_perm, width=None) -> SurrogateBatch:
     """The draws of one permutation test for column block x, as the tests build them."""
     draws = surrogate_indices(blocks, policy, n_perm)
     return SurrogateBatch(x, draws, blocks, policy.method, width)
+
+
+def batch_members(batch: SurrogateBatch) -> list[np.ndarray]:
+    """Every member of a batch in member order, each gathered on its own.
+
+    Member ``i`` is candidate ``i // n_draws`` under draw ``i % n_draws``; its
+    rows come straight from ``gather_indices``, so these references do not
+    depend on how ``members`` reads the batch.
+    """
+    rows = gather_indices(batch.draws, batch.blocks, batch.method)
+    return [
+        batch.columns[rows[draw], candidate * batch.width : (candidate + 1) * batch.width]
+        for candidate in range(batch.n_candidates)
+        for draw in range(batch.n_draws)
+    ]

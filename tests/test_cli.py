@@ -140,6 +140,39 @@ class TestPermutationCounts:
         assert f"configuration error: bad settings: {key} at " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2_before_reading_data(self, tmp_path, capsys, threads):
+        missing = tmp_path / "missing.csv"
+        config = tmp_path / "infer.json"
+        config.write_text(json.dumps({"input": str(missing)}))
+        assert run_cli(["infer", "--config", str(config), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: config key 'threads' must be >= 1, got {threads}" in err
+
+    def test_compare_count_that_cannot_reject_exits_2_before_reading_files(
+        self, tmp_path, capsys
+    ):
+        # No input or network file exists: the count is judged before any is read.
+        config = tmp_path / "cmp.json"
+        config.write_text(
+            json.dumps({"input_a": "a.csv", "input_b": "b.csv", "networks": ["n.json"],
+                        "n_perm": 10})
+        )
+        assert run_cli(["compare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: config key 'n_perm' at alpha_fdr: 10 permutations" in err
+
+    def test_compare_default_count_judged_at_alpha_fdr(self, tmp_path, capsys):
+        # The default 500 permutations cannot reach p below 1/501.
+        config = tmp_path / "cmp.json"
+        config.write_text(
+            json.dumps({"input_a": "a.csv", "input_b": "b.csv", "networks": ["n.json"],
+                        "alpha_fdr": 0.001})
+        )
+        assert run_cli(["compare", "--config", str(config)]) == 2
+        assert "500 permutations cannot reject" in capsys.readouterr().err
+
+
 class TestInferWarnings:
     def test_constant_replication_warned_and_output_unchanged(self, tmp_path, capsys):
         rng = np.random.default_rng(191)
@@ -436,7 +469,7 @@ class TestConfigSchema:
             ("pid", {"input": "x.csv", "alphabet_sizes": "2"}, "alphabet_sizes"),
             ("pid", {"input": 3}, "input"),
             ("compare", {"input_a": "a.csv", "n_perm": "many"}, "n_perm"),
-            ("compare", {"input_a": "a.csv", "alpha": "0.05"}, "alpha"),
+            ("compare", {"input_a": "a.csv", "n_perm": "10"}, "n_perm"),
             ("compare", {"input_a": "a.csv", "normalize": "yes"}, "normalize"),
         ],
     )
@@ -445,6 +478,13 @@ class TestConfigSchema:
         path.write_text(json.dumps(config))
         assert run_cli([command, "--config", str(path)]) == 2
         assert f"configuration error: config key {key!r} must be" in capsys.readouterr().err
+
+    def test_compare_has_no_alpha_key(self, tmp_path, capsys):
+        # Links are flagged at the settings' alpha_fdr; a second level is unknown.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"input_a": "a.csv", "alpha": 0.05}))
+        assert run_cli(["compare", "--config", str(path)]) == 2
+        assert "unknown config key for 'compare': alpha" in capsys.readouterr().err
 
     def test_null_alphabet_size_is_the_default(self, ring_files, capsys):
         config = ring_files / "infer.json"

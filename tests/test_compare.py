@@ -21,7 +21,11 @@ from infonet import (
     union_link_structures,
 )
 from infonet import stats
-from infonet.errors import DataError, InsufficientReplicationsError
+from infonet.errors import (
+    DataError,
+    InsufficientPermutationsError,
+    InsufficientReplicationsError,
+)
 
 
 def _condition(coeff, seed, n_rep=12, n=400):
@@ -109,6 +113,42 @@ class TestCompare:
         )
         with pytest.raises(DataError):
             compare_networks(a, b, [bad], InferenceSettings())
+
+
+class TestSettingsLevels:
+    """The FDR level and the default seed come from the one InferenceSettings."""
+
+    def _pair(self):
+        # Their link's exchange p-value at 99 permutations is 0.02.
+        return _condition(0.5, seed=501, n_rep=6, n=200), _condition(0.3, seed=601, n_rep=6, n=200)
+
+    def test_links_flagged_at_settings_alpha_fdr(self):
+        data_a, data_b = self._pair()
+        loose = compare_networks(data_a, data_b, [_link()], InferenceSettings(), n_perm=99)
+        strict = compare_networks(
+            data_a, data_b, [_link()], InferenceSettings(alpha_fdr=0.015), n_perm=99
+        )
+        assert loose.links[0].p_value == strict.links[0].p_value == 0.02
+        assert loose.links[0].fdr_significant and not strict.links[0].fdr_significant
+        assert (loose.alpha, strict.alpha) == (0.05, 0.015)
+
+    def test_seed_defaults_to_settings_seed(self):
+        data_a, data_b = self._pair()
+        settings = InferenceSettings(seed=7)
+        implicit = compare_networks(data_a, data_b, [_link()], settings, n_perm=40)
+        explicit = compare_networks(data_a, data_b, [_link()], settings, n_perm=40, seed=7)
+        other = compare_networks(data_a, data_b, [_link()], settings, n_perm=40, seed=0)
+        assert implicit == explicit
+        assert implicit.links[0].p_value != other.links[0].p_value
+
+    def test_n_perm_gated_at_settings_alpha_fdr(self):
+        # 49 permutations reach p = 0.02: enough at alpha_fdr 0.05, not at 0.01.
+        data_a, data_b = self._pair()
+        compare_networks(data_a, data_b, [_link()], InferenceSettings(), n_perm=49)
+        with pytest.raises(InsufficientPermutationsError, match="alpha=0.01"):
+            compare_networks(
+                data_a, data_b, [_link()], InferenceSettings(alpha_fdr=0.01), n_perm=49
+            )
 
 
 def _binary_condition(flip_rate, seed, n_rep=6, n=120):

@@ -65,14 +65,14 @@ class TestDataset:
 class TestNormalize:
     def test_zscore_basic(self):
         ds = normalize(_dataset_from_series([1.0, 2.0, 3.0]))
-        series = ds.series(0, 0)
+        series = ds.values[0, :, 0]
         assert abs(series.mean()) < 1e-12
         assert abs(series.std(ddof=1) - 1.0) < 1e-12
         assert ds.normalized
 
     def test_constant_series_zeroed_with_warning(self):
         ds = normalize(_dataset_from_series([5.0, 5.0, 5.0]))
-        assert np.all(ds.series(0, 0) == 0.0)
+        assert np.all(ds.values[0, :, 0] == 0.0)
         assert any("constant" in w for w in ds.warnings)
 
     @pytest.mark.parametrize("value, n", [(0.1, 100), (3.7, 10), (1e3 / 7, 100)])
@@ -82,7 +82,7 @@ class TestNormalize:
         series = np.full(n, value)
         assert series.mean() != value and series.std(ddof=1) > 0.0
         ds = normalize(_dataset_from_series(series))
-        assert np.all(ds.series(0, 0) == 0.0)
+        assert np.all(ds.values[0, :, 0] == 0.0)
         assert ds.warnings == ("constant series: process 0, replication 0",)
 
     def test_idempotent(self):
@@ -103,7 +103,7 @@ class TestNormalize:
         out = normalize(ds)
         for p in range(3):
             for r in range(2):
-                s = out.series(p, r)
+                s = out.values[p, :, r]
                 assert abs(s.mean()) < 1e-9
                 assert abs(s.std(ddof=1) - 1.0) < 1e-9
 
@@ -259,6 +259,19 @@ class TestLoadCsv:
         path.write_text("1.0,2.0\nNaN,3.0\n")
         with pytest.raises(InvalidValueError):
             load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_first_row_is_data(self, tmp_path, cell):
+        # A non-finite number parses as a float, so row 1 is data, not a header.
+        path = tmp_path / "first.csv"
+        path.write_text(f"1.0,{cell},3\n4,5,6\n7,8,9\n")
+        with pytest.raises(InvalidValueError, match=f"non-finite value '{cell}' at row 1 "):
+            load_csv(path)
+
+    def test_text_first_row_is_header(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("x,2.0,z\n4,5,6\n7,8,9\n")
+        assert load_csv(path).values[:, :, 0].T.tolist() == [[4, 5, 6], [7, 8, 9]]
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"

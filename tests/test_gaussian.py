@@ -25,7 +25,7 @@ from infonet.stats import (
     surrogate_index_matrix,
 )
 
-from conftest import blocks_of, surrogate_batch
+from conftest import batch_members, blocks_of, surrogate_batch
 
 
 def _correlated_pair(rng, n, rho):
@@ -266,7 +266,7 @@ def _constant_column_cases():
 
 
 def _gathered(batch):
-    return np.stack([batch[i] for i in range(len(batch))])
+    return np.stack(batch_members(batch))
 
 
 class TestConstantColumn:
@@ -405,8 +405,8 @@ class TestSurrogateBatch:
     def test_equals_general_batch(self, case):
         batch, blocks, policy, y, z = case
         index = surrogate_index_matrix(blocks, policy, batch.n_draws)
-        for i in range(len(batch)):
-            assert np.array_equal(batch[i], batch.columns[index[i]])
+        for i, member in enumerate(batch_members(batch)):
+            assert np.array_equal(member, batch.columns[index[i]])
         fast = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
         assert np.max(np.abs(fast - gaussian_cmi_batch(_gathered(batch), y, z))) <= 1e-12
 
@@ -422,8 +422,8 @@ class TestSurrogateBatch:
         index = surrogate_index_matrix(blocks, policy, 40)
         # Each draw moves whole blocks: block b reads block draws[i, b].
         assert np.array_equal(index.reshape(40, n_blocks, length)[:, :, 0] // length, batch.draws)
-        for i in range(len(batch)):
-            assert np.array_equal(batch[i], x[index[i]])
+        for i, member in enumerate(batch_members(batch)):
+            assert np.array_equal(member, x[index[i]])
         fast = GaussianEstimator().cmi_surrogate_batch(batch, y, z)
         assert np.max(np.abs(fast - gaussian_cmi_batch(_gathered(batch), y, z))) <= 1e-12
 

@@ -403,6 +403,15 @@ class TestFailedTarget:
             infer_network(_white_noise(3, 600, 32), settings, threads=threads)
 
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected_before_any_target(self, monkeypatch, threads):
+        ran = []
+        monkeypatch.setattr(inference, "infer_target", lambda *args: ran.append(args))
+        with pytest.raises(InferenceError, match=f"^threads must be >= 1, got {threads}$"):
+            infer_network(_white_noise(3, 100, 34), InferenceSettings(), threads=threads)
+        assert ran == []
+
+
 class TestEstimatorAgreement:
     def test_gaussian_vs_knn_on_linear_data(self):
         # scaled-down agreement check on a strongly coupled pair

@@ -19,7 +19,7 @@ from infonet.estimators.base import CIRCULAR_SHIFT, REPLICATION_SHUFFLE, Surroga
 from infonet.estimators.knn import _CHUNK_CELLS, _prefix_length
 from infonet.neighbors import _BLOCK_CELLS
 
-from conftest import blocks_of, surrogate_batch
+from conftest import batch_members, blocks_of, surrogate_batch
 
 
 def _gauss_pair(rng, n, rho):
@@ -133,7 +133,7 @@ class TestAdapter:
             batch = surrogate_batch(block, blocks, policy, 4, width=1)
             vals = est.cmi_surrogate_batch(batch, y, None)
             assert vals.shape == (block.shape[1] * 4,)
-            assert vals.tolist() == [est.cmi_value(batch[i], y, None) for i in range(len(batch))]
+            assert vals.tolist() == [est.cmi_value(member, y, None) for member in batch_members(batch)]
 
     @pytest.mark.parametrize("n", [100, 300], ids=["dense", "loop"])
     def test_cmis_takes_only_a_surrogate_batch(self, n):
@@ -222,7 +222,7 @@ class TestSharedYZ:
         batch, y, z, knn_settings = data.draw(_shared_yz_cases(loop))
         assert (len(y) ** 2 > _BLOCK_CELLS) == loop
         est = KnnEstimator(knn_settings)
-        expected = [knn_cmi(batch[i], y, z, knn_settings).value for i in range(len(batch))]
+        expected = [knn_cmi(member, y, z, knn_settings).value for member in batch_members(batch)]
         assert est.cmi_surrogate_batch(batch, y, z).tolist() == expected
         columns = batch.columns
         expected = [
@@ -277,7 +277,7 @@ class TestPrefixRadii:
 
     @staticmethod
     def _check(batch, y, z, knn_settings):
-        expected = [knn_cmi(batch[i], y, z, knn_settings).value for i in range(len(batch))]
+        expected = [knn_cmi(member, y, z, knn_settings).value for member in batch_members(batch)]
         assert KnnEstimator(knn_settings).cmis(batch, y, z).tolist() == expected
 
     @pytest.mark.parametrize("dz", [0, 2])

@@ -32,7 +32,7 @@ from infonet.stats import (
     surrogate_indices,
 )
 
-from conftest import blocks_of, surrogate_batch
+from conftest import batch_members, blocks_of, surrogate_batch
 
 
 def _policy(method=CIRCULAR_SHIFT, min_shift=1, seed=0):
@@ -665,10 +665,12 @@ class TestDefaultSurrogateBatch:
         batch, y, z, discrete = case
         assert len(batch) == batch.n_candidates * batch.n_draws
         index = gather_indices(batch.draws, batch.blocks, batch.method)
-        for i in range(len(batch)):
+        gathered = dict(base.members(batch))
+        assert sorted(gathered) == list(range(len(batch)))
+        for i, member in gathered.items():
             candidate, draw = divmod(i, batch.n_draws)
             columns = batch.columns[:, candidate * batch.width : (candidate + 1) * batch.width]
-            assert np.array_equal(batch[i], columns[index[draw]])
+            assert np.array_equal(member, columns[index[draw]])
         # Rotation 0 over one block leaves every column in place: the
         # unshifted batch that candidates_cmi hands to cmis.
         n, total = batch.columns.shape
@@ -685,7 +687,7 @@ class TestDefaultSurrogateBatch:
         )
         for estimator in estimators:
             values = estimator.cmi_surrogate_batch(batch, y, z)
-            expected = [estimator.cmi_value(batch[i], y, z) for i in range(len(batch))]
+            expected = [estimator.cmi_value(member, y, z) for member in batch_members(batch)]
             assert values.tolist() == expected
             observed = estimator.candidates_cmi(batch.columns, y, z)
             expected = [estimator.cmi_value(member, y, z) for _, member in pairs]
@@ -755,7 +757,7 @@ class TestDefaultSurrogateBatch:
         columns = rng.integers(0, 2, size=(n, candidates)).astype(np.float64)
         y = rng.integers(0, 2, size=(n, 1)).astype(np.float64)
         batch = surrogate_batch(columns, blocks_of([n]), _policy(seed=3), draws, width=1)
-        expected = [estimator.cmi_value(batch[i], y, None) for i in range(len(batch))]
+        expected = [estimator.cmi_value(member, y, None) for member in batch_members(batch)]
         calls = []
         gather = base.gather_indices
         monkeypatch.setattr(base, "gather_indices", lambda *a: calls.append(1) or gather(*a))
